@@ -31,6 +31,7 @@
 #include "gen/random_systems.hpp"
 #include "io/json.hpp"
 #include "io/tables.hpp"
+#include "tests/support/busy_window_reference.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 

@@ -35,6 +35,7 @@
 #include "io/json.hpp"
 #include "io/tables.hpp"
 #include "search/priority_search.hpp"
+#include "tests/support/reference_evaluator.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 

@@ -214,14 +214,15 @@ struct TwcaAnalyzer::Impl {
 
   const LatencyResult& latency(int chain) const {
     auto& slot = latency_cache[static_cast<std::size_t>(chain)];
-    if (!slot.has_value()) slot = latency_analysis(system, chain, options.analysis);
+    if (!slot.has_value()) slot = latency_analysis(system, context(chain), options.analysis);
     return *slot;
   }
 
   const LatencyResult& latency_without_overload(int chain) const {
     auto& slot = typical_latency_cache[static_cast<std::size_t>(chain)];
     if (!slot.has_value()) {
-      slot = latency_analysis(system, chain, options.analysis, system.overload_indices());
+      slot = latency_analysis(system, context(chain), options.analysis,
+                              system.overload_indices());
     }
     return *slot;
   }

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -95,6 +96,11 @@ Expected<Endpoint> open_connect(const WorkerSpec& spec) {
     ::close(fd);
     return Status::internal(message);
   }
+  // Requests and responses are single small lines in lockstep: without
+  // TCP_NODELAY, Nagle's algorithm holds each one back behind the
+  // peer's delayed ACK.
+  const int enable = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable);
   return Endpoint{fd, -1};
 }
 

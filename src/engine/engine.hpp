@@ -25,8 +25,10 @@
 ///    observable per stage via ReportDiagnostics / cache_stats() /
 ///    store_stats().
 ///
-/// TwcaAnalyzer remains the internal engine core and stays available for
-/// code that wants lower-level control (ablation studies, custom loops).
+/// The Engine runs the core stage functions (core/twca.hpp) through
+/// engine/pipeline.hpp; it does not use TwcaAnalyzer, which stays as the
+/// standalone single-system analyzer for code that wants lower-level
+/// control (ablation studies, custom loops).
 
 #ifndef WHARF_ENGINE_ENGINE_HPP
 #define WHARF_ENGINE_ENGINE_HPP
@@ -344,9 +346,6 @@ class Engine {
   /// surface and the session surface provably share one execution path
   /// (bit-identical results for any jobs/cache_bytes).
   [[nodiscard]] AnalysisReport run(const AnalysisRequest& request);
-
-  /// Alias of run() under the session-era name.
-  [[nodiscard]] AnalysisReport analyze(const AnalysisRequest& request) { return run(request); }
 
   /// Answers many requests, evaluating all queries of all requests on
   /// the worker pool.  reports[i] answers requests[i]; every report's

@@ -1,6 +1,5 @@
 #include "engine/pipeline.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <map>
 #include <sstream>
@@ -35,8 +34,6 @@ template <>
 constexpr ArtifactType artifact_tag<DmmResult> = ArtifactType::kDmmResult;
 template <>
 constexpr ArtifactType artifact_tag<ilp::PackingSolution> = ArtifactType::kPackingSolution;
-template <>
-constexpr ArtifactType artifact_tag<BusyWindowBatch> = ArtifactType::kBusyWindowBatch;
 
 /// Canonical content encoding of a packing problem (the ILP stage key —
 /// two targets or k values yielding the same capacities and incidence
@@ -299,54 +296,6 @@ std::shared_ptr<const LatencyResult> Pipeline::latency_without_overload(int targ
         return latency_analysis(system(), *interference(target), state_->options.analysis,
                                 system().overload_indices());
       });
-}
-
-void Pipeline::prime_busy_windows(const std::vector<std::pair<int, bool>>& members) {
-  // Canonical member set: valid chain indices only (invalid ones surface
-  // their errors in the individual queries), sorted and deduplicated so
-  // the batch key is order-independent.
-  std::vector<std::pair<int, bool>> sorted;
-  sorted.reserve(members.size());
-  for (const auto& member : members) {
-    if (member.first >= 0 && member.first < system().size()) sorted.push_back(member);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  if (sorted.size() < 2) return;  // nothing to batch
-
-  // Batch key: the member busy-window keys joined — the same member set
-  // over the same model slices names the same artifact.  Member keys are
-  // interned id sequences, so a header fragment pins the member count
-  // and each member's byte length (the raw concatenation alone would be
-  // ambiguous between different splits of the same id stream).
-  std::string header = "bwb|n=";
-  header += std::to_string(sorted.size());
-  header += ";lens=";
-  std::string member_bytes;
-  for (const auto& [target, without_overload] : sorted) {
-    const std::string& member = state_->busy_window_key_for(target, without_overload);
-    header += std::to_string(member.size());
-    header += ',';
-    member_bytes += member;
-  }
-  std::string key;
-  key.reserve(KeyInterner::kIdBytes + member_bytes.size());
-  KeyInterner::append_id(key, state_->interner->intern(header));
-  key += member_bytes;
-  try {
-    (void)state_->acquire<BusyWindowBatch>(ArtifactStage::kBusyWindow, key, [&] {
-      BusyWindowBatch batch;
-      batch.results.reserve(sorted.size());
-      for (const auto& [target, without_overload] : sorted) {
-        batch.results.push_back(without_overload ? latency_without_overload(target)
-                                                 : latency(target));
-      }
-      return batch;
-    });
-  } catch (...) {
-    // A failing member poisons only the batch marker; the individual
-    // queries re-resolve the member and report its own error.
-  }
 }
 
 std::shared_ptr<const TargetArtifacts> Pipeline::overload_artifacts(int target) {

@@ -18,7 +18,7 @@
 ///    model the batch started from, and the first error leaves the
 ///    session untouched (Status out, never an exception);
 ///  * query answers are bit-identical to a one-shot
-///    Engine::analyze/run of the mutated system, for any jobs value and
+///    Engine::run of the mutated system, for any jobs value and
 ///    any cache budget (Engine::run itself is a thin adapter over an
 ///    ephemeral Session);
 ///  * **external synchronization required**: a Session is a

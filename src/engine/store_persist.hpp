@@ -49,8 +49,9 @@ namespace wharf {
 
 /// Version tag of the snapshot format this build reads and writes.
 /// Bump on any incompatible layout change; readers reject other
-/// versions (cold start, not corruption).
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+/// versions (cold start, not corruption).  Version 2 retired the
+/// busy-window batch marker (ArtifactType tag 6).
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Knobs of StoreSnapshot::save().
 struct StoreSaveOptions {

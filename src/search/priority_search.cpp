@@ -237,39 +237,6 @@ EvaluatorStats PipelineEvaluator::stats() const {
 }
 
 // ---------------------------------------------------------------------
-// ReferenceEvaluator
-// ---------------------------------------------------------------------
-
-ReferenceEvaluator::ReferenceEvaluator(System base, EvaluationSpec spec, TwcaOptions options)
-    : base_(std::move(base)),
-      spec_(std::move(spec)),
-      targets_(resolve_targets(base_, spec_)),
-      options_(options) {}
-
-const System& ReferenceEvaluator::base() const { return base_; }
-
-Objective ReferenceEvaluator::evaluate(const std::vector<Priority>& priorities) {
-  const TwcaAnalyzer analyzer{base_.with_priorities(priorities), options_};
-  Objective obj;
-  for (const int c : targets_) {
-    const DmmResult r = analyzer.dmm(c, spec_.k);
-    if (r.dmm > 0) ++obj.chains_missing;
-    obj.total_dmm += r.dmm;
-    const LatencyResult& lat = analyzer.latency(c);
-    obj.total_wcl = sat_add(obj.total_wcl,
-                            lat.bounded ? lat.wcl : options_.analysis.divergence_guard);
-  }
-  ++evaluations_;
-  return obj;
-}
-
-EvaluatorStats ReferenceEvaluator::stats() const {
-  EvaluatorStats stats;
-  stats.evaluations = evaluations_;
-  return stats;
-}
-
-// ---------------------------------------------------------------------
 // Free functions
 // ---------------------------------------------------------------------
 

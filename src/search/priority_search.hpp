@@ -20,9 +20,9 @@
 /// scored as one work-pool-parallel batch, and identical concurrent
 /// candidates share computation via the store's single-flight
 /// resolve().  Results are bit-identical to sequential standalone
-/// evaluation for any jobs value — `ReferenceEvaluator` (one
-/// TwcaAnalyzer per candidate, no reuse) stays around as the parity
-/// reference and cold benchmark baseline.
+/// evaluation for any jobs value; the tests and bench_priority_search
+/// check this against a from-scratch TwcaAnalyzer per candidate
+/// (tests/support/reference_evaluator.hpp).
 
 #ifndef WHARF_SEARCH_PRIORITY_SEARCH_HPP
 #define WHARF_SEARCH_PRIORITY_SEARCH_HPP
@@ -162,27 +162,6 @@ class PipelineEvaluator final : public Evaluator {
   std::vector<std::string> task_names_;    ///< dotted "chain.task" per flat index
   mutable util::Mutex stats_mutex_;
   EvaluatorStats stats_ WHARF_GUARDED_BY(stats_mutex_);
-};
-
-/// The pre-pipeline reference backend: a standalone TwcaAnalyzer per
-/// candidate, no artifact reuse, strictly sequential.  Kept as the
-/// parity oracle of the determinism regression tests and the cold
-/// baseline of bench_priority_search; production callers want
-/// PipelineEvaluator.
-class ReferenceEvaluator final : public Evaluator {
- public:
-  explicit ReferenceEvaluator(System base, EvaluationSpec spec = {}, TwcaOptions options = {});
-
-  [[nodiscard]] const System& base() const override;
-  [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
-  [[nodiscard]] EvaluatorStats stats() const override;
-
- private:
-  System base_;
-  EvaluationSpec spec_;
-  std::vector<int> targets_;
-  TwcaOptions options_;
-  long long evaluations_ = 0;
 };
 
 /// Scores one system (one priority assignment) through a transient

@@ -17,9 +17,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -145,6 +147,14 @@ class FakeWorker {
 
   [[nodiscard]] int port() const { return port_; }
 
+  /// Blocks until `count` accepted links have ended (the coordinator
+  /// closed them, or a send failed) or `timeout` passes; returns whether
+  /// they did.
+  bool wait_links_closed(int count, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return closed_cv_.wait_for(lock, timeout, [&] { return links_closed_ >= count; });
+  }
+
  private:
   void serve() {
     while (true) {
@@ -152,6 +162,11 @@ class FakeWorker {
       if (fd < 0) return;
       handle(fd);
       ::close(fd);
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++links_closed_;
+      }
+      closed_cv_.notify_all();
     }
   }
 
@@ -186,6 +201,9 @@ class FakeWorker {
   Handler on_line_;
   int listen_fd_ = -1;
   int port_ = 0;
+  std::mutex mutex_;
+  std::condition_variable closed_cv_;
+  int links_closed_ = 0;
   std::thread thread_;
 };
 
@@ -429,16 +447,27 @@ TEST(DistFaults, OversizedWorkerResponseDisqualifies) {
   const search::Objective nominal = search::evaluate_assignment(system, espec);
 
   // A worker whose evaluate "answer" blows the protocol line bound is a
-  // protocol fault like any other: disqualify, re-issue elsewhere.
+  // protocol fault like any other: disqualify, re-issue elsewhere.  The
+  // honest worker answers correctly, but only once the coordinator has
+  // cut the shouty link: until then every unit is incomplete, so the
+  // sweep cannot finish before the oversized line has been read.
   FakeWorker shouty([](const std::string& line) -> std::string {
     if (is_open_request(line)) return open_ack();
     return std::string(io::kMaxWireLineBytes + 16, 'x');
+  });
+  search::PipelineEvaluator evaluator(system, espec);
+  FakeWorker honest([&evaluator, &shouty](const std::string& line) {
+    if (is_open_request(line)) return open_ack();
+    EXPECT_TRUE(shouty.wait_links_closed(1, std::chrono::seconds(10)))
+        << "the coordinator never dropped the oversized worker";
+    return evaluate_ok(evaluator, line);
   });
 
   SweepOptions sweep;
   sweep.k = 5;
   sweep.unit_size = 1;
-  const std::vector<WorkerSpec> workers = {connect_spec(shouty.port()), spawn_spec()};
+  const std::vector<WorkerSpec> workers = {connect_spec(shouty.port()),
+                                           connect_spec(honest.port())};
   const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, workers, sweep);
   ASSERT_TRUE(outcome) << outcome.status().to_string();
   expect_identical(outcome.value(), nominal, oracle);

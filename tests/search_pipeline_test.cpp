@@ -18,6 +18,7 @@
 #include "engine/engine.hpp"
 #include "gen/random_systems.hpp"
 #include "search/priority_search.hpp"
+#include "tests/support/reference_evaluator.hpp"
 
 namespace wharf::search {
 namespace {

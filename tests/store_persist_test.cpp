@@ -121,7 +121,7 @@ TEST(StorePersist, RoundTripIsBitIdenticalWithZeroResolves) {
     const std::vector<std::string> warm = run_workload(reader, systems);
 
     // The property: identical answers, and the warm replay resolved
-    // every artifact — batch markers included — from the snapshot.
+    // every artifact from the snapshot.
     EXPECT_EQ(warm, cold) << "jobs=" << jobs;
     EXPECT_EQ(insertions(reader.store_stats()) - insertions(before), 0u) << "jobs=" << jobs;
   }
@@ -240,17 +240,25 @@ TEST(StorePersist, TargetedCorruptionFallsBackCold) {
 
 TEST(StorePersist, VersionMismatchIsDistinguishable) {
   TempDir dir;
-  std::string bad = pristine_snapshot(dir.path);
+  const std::string good = pristine_snapshot(dir.path);
   // The u32 version sits right after the 8-byte magic, outside any CRC.
-  bad[8] = static_cast<char>(bad[8] + 1);
-  const std::string path = store_snapshot_path(dir.path);
-  write_file(path, bad);
-  ArtifactStore store;
-  const StoreLoadResult loaded = store.load(path);
-  EXPECT_TRUE(loaded.status.is_ok());
-  EXPECT_TRUE(loaded.cold);
-  EXPECT_GT(loaded.records_skipped, 0u);
-  EXPECT_NE(loaded.reason.find("version"), std::string::npos) << loaded.reason;
+  // A newer format and a version-1 file (written before the busy-window
+  // batch marker, tag 6, left the format) both cold-start with the
+  // version reason, never as corruption.
+  for (const std::uint32_t version : {kStoreFormatVersion + 1, std::uint32_t{1}}) {
+    std::string bad = good;
+    for (int i = 0; i < 4; ++i) bad[8 + i] = static_cast<char>((version >> (8 * i)) & 0xffu);
+    const std::string path = store_snapshot_path(dir.path);
+    write_file(path, bad);
+    ArtifactStore store;
+    const StoreLoadResult loaded = store.load(path);
+    EXPECT_TRUE(loaded.status.is_ok()) << version;
+    EXPECT_TRUE(loaded.cold) << version;
+    EXPECT_EQ(loaded.records_loaded, 0u) << version;
+    EXPECT_GT(loaded.records_skipped, 0u) << version;
+    EXPECT_NE(loaded.reason.find("format version " + std::to_string(version)), std::string::npos)
+        << loaded.reason;
+  }
 }
 
 TEST(StorePersist, CorruptionFuzzNeverCrashes) {

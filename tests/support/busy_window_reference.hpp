@@ -1,12 +1,17 @@
-/// \file busy_window_reference.cpp
-/// The pre-flattening busy-window implementation, preserved verbatim
-/// from before the data-oriented rewrite of busy_window.cpp: virtual
-/// eta/delta dispatch per call, cold-started Kleene iteration per q.
-/// Serves as the bit-identity oracle — bench/core_solver.cpp and
-/// tests/arrival_table_test.cpp compare the flat kernel against these
-/// functions field by field, and CI gates on the comparison.
+// The pre-flattening busy-window implementation, kept as the
+// bit-identity oracle of the data-oriented kernel in core/busy_window.cpp:
+// virtual eta/delta dispatch per call and a cold-started Kleene
+// iteration per q.  tests/arrival_table_test.cpp and
+// bench/core_solver.cpp compare the flat kernel against these functions
+// field by field, and CI gates on the comparison.  Correct but slow; not
+// for production use.
+
+#ifndef WHARF_TESTS_SUPPORT_BUSY_WINDOW_REFERENCE_HPP
+#define WHARF_TESTS_SUPPORT_BUSY_WINDOW_REFERENCE_HPP
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "core/busy_window.hpp"
 #include "util/expect.hpp"
@@ -14,15 +19,15 @@
 
 namespace wharf::reference {
 
-namespace {
+namespace detail {
 
 /// Interference contributed by one other chain σ_a over a window of
 /// length `window`, per Eq. (1)/(3)/(4):
 ///  * arbitrarily interfering (or `naive`):  η⁺_a(window) · C_a;
 ///  * deferred, asynchronous:  η⁺_a(window) · C_header_{a,b} + Σ_s C_s;
 ///  * deferred, synchronous:   C_{s_crit_{a,b}}.
-Time chain_interference(const System& system, const ChainInterference& info, Time window,
-                        bool naive) {
+inline Time chain_interference(const System& system, const ChainInterference& info,
+                               Time window, bool naive) {
   const Chain& a = system.chain(info.chain);
   if (naive || !info.deferred) {
     const Count eta = a.arrival().eta_plus(window);
@@ -41,7 +46,8 @@ Time chain_interference(const System& system, const ChainInterference& info, Tim
 /// Eq. 1): activations beyond the q under analysis may run up to the
 /// chain's own header subchain before stalling at its lowest-priority
 /// task.
-Time self_interference(const Chain& b, const InterferenceContext& ctx, Time window, Count q) {
+inline Time self_interference(const Chain& b, const InterferenceContext& ctx, Time window,
+                              Count q) {
   if (!b.is_asynchronous() || ctx.self_header_cost == 0) return 0;
   const Count eta = b.arrival().eta_plus(window);
   if (eta == kCountInfinity) return kTimeInfinity;
@@ -49,13 +55,14 @@ Time self_interference(const Chain& b, const InterferenceContext& ctx, Time wind
   return sat_mul(extra, ctx.self_header_cost);
 }
 
-bool contains(const std::vector<int>& v, int x) {
+inline bool contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
 /// Full right-hand side of Eq. (1) evaluated at busy-time guess `window`.
-Time busy_rhs(const System& system, const InterferenceContext& ctx, Count q, Time window,
-              const AnalysisOptions& options, const std::vector<int>& exclude) {
+inline Time busy_rhs(const System& system, const InterferenceContext& ctx, Count q,
+                     Time window, const AnalysisOptions& options,
+                     const std::vector<int>& exclude) {
   const Chain& b = system.chain(ctx.target);
   Time total = sat_mul(q, b.total_wcet());
   total = sat_add(total, self_interference(b, ctx, window, q));
@@ -66,16 +73,19 @@ Time busy_rhs(const System& system, const InterferenceContext& ctx, Count q, Tim
   return total;
 }
 
-}  // namespace
+}  // namespace detail
 
-std::optional<Time> busy_time(const System& system, const InterferenceContext& ctx, Count q,
-                              const AnalysisOptions& options, const std::vector<int>& exclude) {
+/// Pre-flattening Theorem 1 fixed point: cold-started Kleene iteration
+/// with virtual eta dispatch per call.
+inline std::optional<Time> busy_time(const System& system, const InterferenceContext& ctx,
+                                     Count q, const AnalysisOptions& options,
+                                     const std::vector<int>& exclude = {}) {
   WHARF_EXPECT(q >= 1, "busy_time requires q >= 1, got " << q);
   // Kleene iteration from the constant part: Eq. (1) is monotone in B, so
   // this converges to the least fixed point whenever one exists.
   Time current = sat_mul(q, system.chain(ctx.target).total_wcet());
   for (int iter = 0; iter < options.max_fixed_point_iterations; ++iter) {
-    const Time next = busy_rhs(system, ctx, q, current, options, exclude);
+    const Time next = detail::busy_rhs(system, ctx, q, current, options, exclude);
     if (next >= options.divergence_guard || is_infinite(next)) return std::nullopt;
     if (next == current) return current;
     WHARF_ASSERT(next > current);  // monotone iteration
@@ -84,8 +94,10 @@ std::optional<Time> busy_time(const System& system, const InterferenceContext& c
   return std::nullopt;  // iteration cap: treat as divergent
 }
 
-LatencyResult latency_analysis(const System& system, int target, const AnalysisOptions& options,
-                               const std::vector<int>& exclude) {
+/// Pre-flattening Theorem 2 + Lemma 3 analysis of chain `target`.
+inline LatencyResult latency_analysis(const System& system, int target,
+                                      const AnalysisOptions& options = {},
+                                      const std::vector<int>& exclude = {}) {
   const InterferenceContext ctx = make_interference_context(system, target);
   const Chain& b = system.chain(target);
 
@@ -128,3 +140,5 @@ LatencyResult latency_analysis(const System& system, int target, const AnalysisO
 }
 
 }  // namespace wharf::reference
+
+#endif  // WHARF_TESTS_SUPPORT_BUSY_WINDOW_REFERENCE_HPP
