@@ -1,8 +1,6 @@
 #include "net/server.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -166,12 +164,6 @@ void AsyncServer::on_accept(std::uint32_t /*events*/) {
       check_exit();
       return;
     }
-
-    // Responses are small lines, often followed by nothing until the
-    // client's next request: without TCP_NODELAY, Nagle's algorithm
-    // holds a streamed frame back behind the client's delayed ACK.
-    const int enable = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable);
 
     auto conn = std::make_shared<Conn>(options_.max_line_bytes);
     conn->fd = fd;
