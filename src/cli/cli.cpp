@@ -37,30 +37,24 @@ const char kUsage[] = R"(wharf — weakly-hard analysis of SPP task-chain system
 
 usage:
   wharf analyze  <file> [--k K1,K2,...] [--json] [--jobs N] [--cache-bytes N]
-                 [--store-dir DIR]
   wharf dmm      <file> <chain> [--k K] [--breakpoints KMAX] [--json]
   wharf path     <file> <chain1,chain2,...> [--deadline D] [--budgets B1,B2,...]
                  [--k K1,K2,...] [--json] [--jobs N]
   wharf simulate <file> [--horizon H] [--seed S] [--extra-gap G] [--gantt WIDTH]
   wharf search   <file> [--k K] [--strategy hill|random|exhaustive] [--budget N]
                  [--restarts R] [--max-permutations N] [--seed S] [--json]
-                 [--jobs N] [--cache-bytes N] [--store-dir DIR]
+                 [--jobs N] [--cache-bytes N]
   wharf sweep    <file> [--k K] [--strategy exhaustive|random] [--budget N]
                  [--seed S] [--max-permutations N]
                  [--workers N | --connect host:port,...] [--unit-size N]
                  [--window N] [--unit-deadline-ms MS] [--max-restarts N]
-                 [--jobs N] [--store-dir DIR] [--json]
-  wharf serve    [--jobs N] [--cache-bytes N] [--store-dir DIR]
-                 [--persist-interval MS] [--listen PORT] [--max-connections N]
+                 [--jobs N] [--json]
+  wharf serve    [--jobs N] [--cache-bytes N] [--listen PORT] [--max-connections N]
   wharf validate <file>
   wharf help
 
 <file> is a system description (see io/system_format.hpp); '-' reads stdin.
 any subcommand accepts --help (print this text, exit 0).
---store-dir DIR persists the artifact store across runs: analysis
-artifacts load from DIR/wharf_store.snapshot at startup and spill back
-on clean exit, so repeat invocations start warm.  Corrupt or
-version-mismatched snapshots fall back to a cold start (never an error).
 exit codes: 0 ok; 1 usage error; 2 input error; 3 analysis gave no guarantee.
 
 serve: a long-lived NDJSON request/response loop over stdin/stdout, or a
@@ -75,9 +69,6 @@ serve exit codes: 0 clean shutdown or EOF; 1 usage error; 4 transport failure
 Per-request errors (malformed JSON, unknown session, bad delta/query)
 are JSON error responses on the stream, and one client's transport
 failure ends only that connection: neither ever exits the server.
---persist-interval MS re-snapshots the store to --store-dir every MS ms
-while it has new artifacts (default 200 when --store-dir is set; 0
-disables), so even a killed server leaves a warm snapshot behind.
 
 sweep: the distributed form of `search --strategy exhaustive|random`:
 shards the candidate permutations over --workers spawned `wharf serve`
@@ -86,10 +77,8 @@ processes (or over already-running `wharf serve --listen` peers via
 from laggards, re-issues units lost to crashed, hung (--unit-deadline-ms)
 or disconnected workers, and merges deterministically — the result is
 bit-identical to `wharf search` and to a 1-worker sweep for any worker
-count and any fault history (spec: docs/distributed.md).  --store-dir
-DIR gives spawned worker i the snapshot family DIR/worker-<i>, so a
-respawned worker starts warm from its periodic snapshot; --jobs is the
-per-worker thread count.
+count and any fault history (spec: docs/distributed.md).  A respawned
+worker starts cold; --jobs is the per-worker thread count.
 )";
 
 /// Parsed --key value / --flag options plus positional arguments.
@@ -103,16 +92,20 @@ struct Options {
   }
 };
 
-/// Options that take a value (everything else with a leading -- is a flag).
+/// Options that take a value.
 bool option_takes_value(const std::string& name) {
   return name == "--k" || name == "--breakpoints" || name == "--horizon" || name == "--seed" ||
          name == "--extra-gap" || name == "--gantt" || name == "--strategy" ||
          name == "--budget" || name == "--restarts" || name == "--max-permutations" ||
          name == "--jobs" || name == "--cache-bytes" || name == "--deadline" ||
          name == "--budgets" || name == "--listen" || name == "--max-connections" ||
-         name == "--store-dir" || name == "--persist-interval" || name == "--workers" ||
-         name == "--connect" || name == "--unit-size" || name == "--window" ||
-         name == "--unit-deadline-ms" || name == "--max-restarts";
+         name == "--workers" || name == "--connect" || name == "--unit-size" ||
+         name == "--window" || name == "--unit-deadline-ms" || name == "--max-restarts";
+}
+
+/// Every option the CLI knows: the valued ones plus the one flag.
+bool known_option(const std::string& name) {
+  return option_takes_value(name) || name == "--json";
 }
 
 bool parse_options(const std::vector<std::string>& args, std::size_t first, Options& out,
@@ -120,6 +113,10 @@ bool parse_options(const std::vector<std::string>& args, std::size_t first, Opti
   for (std::size_t i = first; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (util::starts_with(a, "--")) {
+      if (!known_option(a)) {
+        err << "unknown option '" << a << "'\n";
+        return false;
+      }
       if (option_takes_value(a)) {
         if (i + 1 >= args.size()) {
           err << "missing value for " << a << "\n";
@@ -171,17 +168,6 @@ bool parse_cache_bytes(const Options& options, std::size_t& bytes, std::ostream&
   }
   bytes = static_cast<std::size_t>(v);
   return true;
-}
-
-/// Spills the engine's store back to --store-dir when one was given.
-/// A failing save is a stderr warning, never an exit-code change — the
-/// analysis answer was already produced; persistence only affects how
-/// warm the *next* run starts.
-void spill_store(Engine& engine, std::ostream& err) {
-  const StoreSaveResult saved = engine.persist();
-  if (!saved.status.is_ok()) {
-    err << "warning: snapshot save failed: " << saved.status.message() << "\n";
-  }
 }
 
 std::optional<System> load_system(const std::string& path, std::istream& in, std::ostream& err) {
@@ -245,9 +231,8 @@ int cmd_analyze(const Options& options, std::istream& in, std::ostream& out, std
   std::size_t cache_bytes = 0;
   if (!parse_cache_bytes(options, cache_bytes, err)) return kUsageError;
 
-  Engine engine{EngineOptions{jobs, cache_bytes, options.get("--store-dir", "")}};
+  Engine engine{EngineOptions{jobs, cache_bytes}};
   const AnalysisReport report = engine.run(AnalysisRequest::standard(*system, ks));
-  spill_store(engine, err);
 
   if (options.has("--json")) {
     out << to_json(report) << "\n";
@@ -358,7 +343,7 @@ int cmd_path(const Options& options, std::istream& in, std::ostream& out, std::o
   int jobs = 1;
   if (!parse_jobs(options, jobs, err)) return kUsageError;
 
-  Engine engine{EngineOptions{jobs, EngineOptions{}.cache_bytes, ""}};
+  Engine engine{EngineOptions{jobs}};
   const AnalysisReport report = engine.run(request);
 
   if (options.has("--json")) {
@@ -510,9 +495,8 @@ int cmd_search(const Options& options, std::istream& in, std::ostream& out, std:
   std::size_t cache_bytes = 0;
   if (!parse_cache_bytes(options, cache_bytes, err)) return kUsageError;
 
-  Engine engine{EngineOptions{jobs, cache_bytes, options.get("--store-dir", "")}};
+  Engine engine{EngineOptions{jobs, cache_bytes}};
   const AnalysisReport report = engine.run(AnalysisRequest{*system, {}, {query}});
-  spill_store(engine, err);
   const QueryResult& result = report.results.front();
   if (!result.ok()) {
     if (options.has("--json")) {
@@ -621,12 +605,10 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
       return kUsageError;
     }
     const std::string binary = dist::self_binary();
-    const std::string store_dir = options.get("--store-dir", "");
     for (Count i = 0; i < worker_count; ++i) {
       dist::WorkerSpec spec;
       spec.binary = binary;
       spec.jobs = jobs;
-      if (!store_dir.empty()) spec.store_dir = util::cat(store_dir, "/worker-", i);
       workers.push_back(std::move(spec));
     }
   }
@@ -765,16 +747,7 @@ int cmd_serve_dispatch(const Options& options, std::istream& in, std::ostream& o
     }
     max_connections = static_cast<int>(value);
   }
-  long long persist_interval_ms = -1;  // default: on (200ms) iff --store-dir
-  if (options.has("--persist-interval")) {
-    if (!util::parse_int64(options.get("--persist-interval", ""), persist_interval_ms) ||
-        persist_interval_ms < 0) {
-      err << "invalid --persist-interval: '" << options.get("--persist-interval", "") << "'\n";
-      return kUsageError;
-    }
-  }
-  return cmd_serve(jobs, cache_bytes, options.get("--store-dir", ""), persist_interval_ms,
-                   listen_port, max_connections, in, out, err);
+  return cmd_serve(jobs, cache_bytes, listen_port, max_connections, in, out, err);
 }
 
 int cmd_validate(const Options& options, std::istream& in, std::ostream& out, std::ostream& err) {

@@ -131,29 +131,9 @@ int serve_listener(Engine& engine, int listener_fd, int max_connections, std::os
   return server.serve() ? 0 : kTransportError;
 }
 
-namespace {
-
-/// Graceful-exit spill: persists the engine's store to --store-dir (a
-/// no-op without one).  Failures are reported on `err` but never change
-/// the exit code — persistence is an optimization, not a correctness
-/// requirement of the serve contract.
-void spill_store(Engine& engine, std::ostream& err) {
-  const StoreSaveResult saved = engine.persist();
-  if (!saved.status.is_ok()) {
-    err << "serve: snapshot save failed: " << saved.status.message() << "\n";
-  }
-}
-
-}  // namespace
-
-int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
-              long long persist_interval_ms, int listen_port, int max_connections,
+int cmd_serve(int jobs, std::size_t cache_bytes, int listen_port, int max_connections,
               std::istream& in, std::ostream& out, std::ostream& err) {
-  if (persist_interval_ms < 0) {
-    persist_interval_ms = store_dir.empty() ? 0 : kDefaultServePersistIntervalMs;
-  }
-  Engine engine{EngineOptions{jobs, cache_bytes, store_dir,
-                              store_dir.empty() ? 0 : persist_interval_ms}};
+  Engine engine{EngineOptions{jobs, cache_bytes}};
   if (listen_port < 0) {
     // stdio mode is one implicit connection; diagnostics still report
     // the server object so the response shape matches TCP mode.
@@ -161,10 +141,6 @@ int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
     telemetry.connections_served.store(1, std::memory_order_relaxed);
     telemetry.connections_active.store(1, std::memory_order_relaxed);
     serve_stream(engine, in, out, &telemetry);
-    // Both graceful endings — clean EOF and a shutdown wire request —
-    // pass through here; only a broken output stream skips the spill's
-    // "graceful" label, and even then the save itself is still safe.
-    spill_store(engine, err);
     if (out.fail()) {
       err << "serve: output stream failed\n";
       return kTransportError;
@@ -180,11 +156,7 @@ int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
   }
   err << "serve: listening on 127.0.0.1:" << bound_port << "\n";
   err.flush();
-  const int result = serve_listener(engine, listener.value(), max_connections, err);
-  // serve_listener returns only after every connection drained, so the
-  // spill sees the final store state (shutdown requests included).
-  spill_store(engine, err);
-  return result;
+  return serve_listener(engine, listener.value(), max_connections, err);
 }
 
 }  // namespace wharf::cli

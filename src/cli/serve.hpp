@@ -74,22 +74,9 @@ Expected<int> bind_serve_socket(int port, int& bound_port);
 /// kTransportError only when accept() itself fails fatally.
 int serve_listener(Engine& engine, int listener_fd, int max_connections, std::ostream& err);
 
-/// Default periodic-persist interval of a serve worker with a
-/// --store-dir (milliseconds): frequent enough that a SIGKILL'ed sweep
-/// worker loses at most a beat of artifacts, coarse enough that the
-/// atomic snapshot writes stay off the serving hot path.
-inline constexpr long long kDefaultServePersistIntervalMs = 200;
-
 /// The `wharf serve` subcommand: `listen_port` < 0 means stdio mode;
 /// `max_connections` <= 0 means hardware_concurrency (TCP mode only).
-/// A non-empty `store_dir` loads the persistent artifact snapshot at
-/// startup and spills it back on graceful exit (EOF, shutdown request,
-/// drained listener) — see engine/store_persist.hpp.  Between those
-/// endpoints the engine re-spills periodically (`persist_interval_ms`;
-/// < 0 picks kDefaultServePersistIntervalMs when store_dir is set, 0
-/// disables) so even an abrupt kill leaves a warm snapshot.
-int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
-              long long persist_interval_ms, int listen_port, int max_connections,
+int cmd_serve(int jobs, std::size_t cache_bytes, int listen_port, int max_connections,
               std::istream& in, std::ostream& out, std::ostream& err);
 
 }  // namespace wharf::cli

@@ -149,11 +149,6 @@ std::uint32_t KeyInterner::intern(std::string_view piece) {
   return id;
 }
 
-const std::string& KeyInterner::fragment(std::uint32_t id) const {
-  const util::MutexLock guard(mutex_);
-  return fragments_.at(id);
-}
-
 std::size_t KeyInterner::size() const {
   const util::MutexLock guard(mutex_);
   return fragments_.size();
@@ -164,12 +159,6 @@ void KeyInterner::append_id(std::string& out, std::uint32_t id) {
   out += static_cast<char>((id >> 8) & 0xffu);
   out += static_cast<char>((id >> 16) & 0xffu);
   out += static_cast<char>((id >> 24) & 0xffu);
-}
-
-std::uint32_t KeyInterner::read_id(const char* bytes) {
-  const auto* u = reinterpret_cast<const unsigned char*>(bytes);
-  return static_cast<std::uint32_t>(u[0]) | (static_cast<std::uint32_t>(u[1]) << 8) |
-         (static_cast<std::uint32_t>(u[2]) << 16) | (static_cast<std::uint32_t>(u[3]) << 24);
 }
 
 // ---------------------------------------------------------------------

@@ -50,16 +50,13 @@ namespace wharf {
 /// the key builders below compose) to dense 32-bit ids.  With an
 /// interner, a cache key is a flat sequence of 4-byte little-endian ids
 /// instead of the concatenated fragment text — typically 10-30x shorter,
-/// which shrinks store memory, key-hash cost on the in-memory lookup
-/// path, and the persistent snapshot (store_persist.hpp serializes keys
-/// as file-local ids plus one shared fragment table).
+/// which shrinks store memory and key-hash cost on the lookup path.
 ///
 /// Ids are assigned in first-intern order and never change or disappear,
 /// so a key built earlier in the process compares byte-equal to the same
 /// key built later — the store-key soundness argument of the textual
 /// builders carries over verbatim (equal fragment sequences ⇔ equal id
-/// sequences).  Thread-safe; `fragment()` references are stable for the
-/// interner's lifetime.
+/// sequences).  Thread-safe.
 class KeyInterner {
  public:
   /// Bytes one encoded id occupies inside a key string.
@@ -68,23 +65,16 @@ class KeyInterner {
   /// Id of `piece`, interning it first if unseen.
   [[nodiscard]] std::uint32_t intern(std::string_view piece);
 
-  /// The fragment text behind `id` (stable reference).  Throws
-  /// std::out_of_range for ids never handed out.
-  [[nodiscard]] const std::string& fragment(std::uint32_t id) const;
-
   /// Number of distinct fragments interned so far (ids are 0..size-1).
   [[nodiscard]] std::size_t size() const;
 
   /// Appends `id` to `out` as 4 little-endian bytes.
   static void append_id(std::string& out, std::uint32_t id);
 
-  /// Decodes one 4-byte little-endian id starting at `bytes`.
-  [[nodiscard]] static std::uint32_t read_id(const char* bytes);
-
  private:
   mutable util::Mutex mutex_;
-  // deque: stable element addresses under append, so fragment() refs and
-  // the string_view map keys survive growth.
+  // deque: stable element addresses under append, so the string_view
+  // map keys survive growth.
   std::deque<std::string> fragments_ WHARF_GUARDED_BY(mutex_);
   std::unordered_map<std::string_view, std::uint32_t> index_ WHARF_GUARDED_BY(mutex_);
 };
@@ -117,6 +107,7 @@ class KeyInterner {
 /// Thread-safe; returned references are stable until invalidate().
 class SliceCache {
  public:
+  /// Lifetime lookup counters of the memo (invalidate() keeps them).
   struct Stats {
     std::size_t hits = 0;    ///< slices served from the memo
     std::size_t misses = 0;  ///< slices serialized afresh
@@ -126,6 +117,7 @@ class SliceCache {
   /// system).  Must not race with concurrent slice accessors.
   void invalidate();
 
+  /// A consistent snapshot of the hit/miss counters.
   [[nodiscard]] Stats stats() const;
 
   /// Memoized equivalents of the free slice functions below (byte-

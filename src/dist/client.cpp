@@ -27,16 +27,7 @@ namespace {
 /// worker side, which is what lets --connect target plain remote
 /// servers too.
 std::vector<std::string> worker_args(const WorkerSpec& spec) {
-  std::vector<std::string> args{spec.binary, "serve", "--jobs", util::cat(spec.jobs)};
-  if (!spec.store_dir.empty()) {
-    args.push_back("--store-dir");
-    args.push_back(spec.store_dir);
-    if (spec.persist_interval_ms >= 0) {
-      args.push_back("--persist-interval");
-      args.push_back(util::cat(spec.persist_interval_ms));
-    }
-  }
-  return args;
+  return {spec.binary, "serve", "--jobs", util::cat(spec.jobs)};
 }
 
 /// (fd, pid) of a freshly opened transport; pid -1 in connect mode.

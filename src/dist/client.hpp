@@ -35,11 +35,6 @@ namespace wharf::dist {
 struct WorkerSpec {
   std::string binary;     ///< path of the wharf binary to exec ("" = connect mode)
   int jobs = 1;           ///< worker-side --jobs (spawn mode)
-  std::string store_dir;  ///< worker-side --store-dir ("" = no snapshot; spawn mode)
-  /// Worker-side --persist-interval in ms (spawn mode; < 0 = serve's
-  /// default).  Sweeps keep this short so a killed worker leaves a
-  /// near-current snapshot for its respawn to warm-start from.
-  long long persist_interval_ms = -1;
   std::string host = "127.0.0.1";  ///< connect mode peer
   int port = 0;                    ///< connect mode port (> 0 selects nothing by itself)
 };
@@ -87,7 +82,7 @@ class WorkerLink {
 
   /// Closes the stream from this side (coordinator-side disconnect —
   /// the fault tests sever links this way).  A spawned worker sees EOF
-  /// on stdin and exits through its graceful persist path.
+  /// on stdin and exits cleanly.
   void close_fd();
 
   /// SIGKILLs a spawned worker (no-op in connect mode) — the

@@ -184,7 +184,7 @@ class Coordinator {
 
   /// Severs worker `w`'s transport: deregisters the fd, closes it, and
   /// reaps a spawned child (EOF on its stdin makes `wharf serve` exit
-  /// through the graceful persist path by itself).
+  /// cleanly by itself).
   void detach_link(std::size_t w) {
     Worker& worker = workers_[w];
     if (!worker.link) return;

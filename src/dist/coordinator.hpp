@@ -19,8 +19,7 @@
 /// with a protocol/evaluation error envelope, or lose its connection —
 /// injectable deterministically via FaultInjection for the test
 /// battery.  Crashed/disconnected workers are restarted (bounded by
-/// `max_restarts`) against the same --store-dir, so they resume warm
-/// from the periodic snapshot; their outstanding units re-issue.  An
+/// `max_restarts`) and start cold; their outstanding units re-issue.  An
 /// error envelope disqualifies the worker outright (no restart — the
 /// envelope means the process is alive but unusable for this sweep).
 ///

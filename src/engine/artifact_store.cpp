@@ -50,16 +50,14 @@ std::optional<ArtifactStore::Found> ArtifactStore::lookup(ArtifactStage stage,
 }
 
 void ArtifactStore::insert(ArtifactStage stage, const std::string& key,
-                           std::shared_ptr<const void> value, std::size_t weight,
-                           std::uint8_t type_tag) {
+                           std::shared_ptr<const void> value, std::size_t weight) {
   std::string tagged = tagged_key(stage, key);
   const util::MutexLock guard(mutex_);
-  insert_locked(stage, std::move(tagged), std::move(value), weight, type_tag);
+  insert_locked(stage, std::move(tagged), std::move(value), weight);
 }
 
 void ArtifactStore::insert_locked(ArtifactStage stage, std::string tagged,
-                                  std::shared_ptr<const void> value, std::size_t weight,
-                                  std::uint8_t type_tag) {
+                                  std::shared_ptr<const void> value, std::size_t weight) {
   mutex_.assert_held();
   const std::size_t charged = weight + tagged.size();
   StageStats& stats = stage_stats_[stage_index(stage)];
@@ -70,7 +68,7 @@ void ArtifactStore::insert_locked(ArtifactStage stage, std::string tagged,
   if (entries_.count(tagged) != 0) return;  // first insertion wins
 
   recency_.push_front(std::move(tagged));
-  Entry entry{std::move(value), stage, type_tag, charged, epoch_, recency_.begin()};
+  Entry entry{std::move(value), stage, charged, epoch_, recency_.begin()};
   entries_.emplace(recency_.front(), std::move(entry));
   resident_bytes_ += charged;
   ++stats.insertions;
@@ -80,7 +78,7 @@ void ArtifactStore::insert_locked(ArtifactStage stage, std::string tagged,
 }
 
 ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const std::string& key,
-                                               const Compute& compute, std::uint8_t type_tag) {
+                                               const Compute& compute) {
   const std::string tagged = tagged_key(stage, key);
   std::shared_ptr<Flight> flight;
   bool owner = false;
@@ -135,7 +133,7 @@ ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const std::s
     // (resident) or, before this block, the open flight — never neither.
     const util::MutexLock guard(mutex_);
     inserted_epoch = epoch_;
-    insert_locked(stage, tagged, value, weight, type_tag);
+    insert_locked(stage, tagged, value, weight);
     flights_.erase(tagged);
   }
   {
@@ -168,30 +166,6 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   out.resident_entries = entries_.size();
   out.resident_bytes = resident_bytes_;
   for (const StageStats& s : stage_stats_) out.evictions += s.evictions;
-  return out;
-}
-
-std::vector<ArtifactStore::ExportedArtifact> ArtifactStore::export_artifacts() const {
-  const util::MutexLock guard(mutex_);
-  std::vector<ExportedArtifact> out;
-  out.reserve(entries_.size());
-  // recency_ is most-recent-first; walk from the back so the vector is
-  // least-recent-first (re-insertion order reproduces recency).
-  for (auto it = recency_.rbegin(); it != recency_.rend(); ++it) {
-    const auto found = entries_.find(*it);
-    if (found == entries_.end()) continue;
-    const Entry& entry = found->second;
-    const std::string& tagged = found->first;
-    // Strip the "<stage>|" prefix and the key-size share of the charged
-    // weight (charged = artifact weight + tagged key bytes).
-    ExportedArtifact exported;
-    exported.stage = entry.stage;
-    exported.type_tag = entry.type_tag;
-    exported.key = tagged.substr(2);
-    exported.value = entry.value;
-    exported.weight = entry.weight >= tagged.size() ? entry.weight - tagged.size() : 0;
-    out.push_back(std::move(exported));
-  }
   return out;
 }
 

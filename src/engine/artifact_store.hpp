@@ -48,17 +48,12 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/model_slice.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace wharf {
-
-struct StoreSaveOptions;  // store_persist.hpp
-struct StoreSaveResult;   // store_persist.hpp
-struct StoreLoadResult;   // store_persist.hpp
 
 /// The pipeline stages the store distinguishes (one counter set each).
 enum class ArtifactStage : int {
@@ -108,12 +103,9 @@ class ArtifactStore {
   /// left untouched (first insertion wins — values for equal keys are
   /// equal by construction).  Artifacts heavier than the whole budget
   /// are rejected, everything else is admitted and the LRU tail is
-  /// evicted until the budget holds.  `type_tag` names the concrete
-  /// type behind the erased value (ArtifactType in artifact_types.hpp);
-  /// entries tagged 0 are skipped by persistence.
+  /// evicted until the budget holds.
   void insert(ArtifactStage stage, const std::string& key,
-              std::shared_ptr<const void> value, std::size_t weight,
-              std::uint8_t type_tag = 0) WHARF_EXCLUDES(mutex_);
+              std::shared_ptr<const void> value, std::size_t weight) WHARF_EXCLUDES(mutex_);
 
   /// Computation callback of resolve(): produces the artifact and its
   /// weight in bytes.  Runs outside every store lock and may itself call
@@ -144,11 +136,9 @@ class ArtifactStore {
   /// inserts the result while concurrent callers of the same key wait on
   /// the in-flight entry and share the value instead of recomputing.
   /// When compute throws, every waiter rethrows the same error and the
-  /// flight is retired (a later caller computes afresh).  `type_tag` is
-  /// recorded on insertion like insert()'s.
+  /// flight is retired (a later caller computes afresh).
   [[nodiscard]] Resolved resolve(ArtifactStage stage, const std::string& key,
-                                 const Compute& compute, std::uint8_t type_tag = 0)
-      WHARF_EXCLUDES(mutex_);
+                                 const Compute& compute) WHARF_EXCLUDES(mutex_);
 
   /// Monotonic counters plus current residency, per stage.
   struct StageStats {
@@ -176,40 +166,10 @@ class ArtifactStore {
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
 
   /// The store's key-fragment intern table.  Pipelines key their
-  /// artifacts through it (compact id-sequence keys), and persistence
-  /// resolves key ids back to fragment text through it.  Thread-safe;
-  /// lives exactly as long as the store, so interned keys stay
-  /// resolvable for every resident entry.
+  /// artifacts through it (compact id-sequence keys).  Thread-safe;
+  /// lives exactly as long as the store, so an id keeps its meaning
+  /// while any resident key holds it.
   [[nodiscard]] KeyInterner& interner() { return interner_; }
-
-  /// Read-only interner access (fragment()/size() are const-safe).
-  [[nodiscard]] const KeyInterner& interner() const { return interner_; }
-
-  /// One resident artifact as handed to persistence (store_persist.cpp).
-  struct ExportedArtifact {
-    ArtifactStage stage{};              ///< pipeline stage of the entry
-    std::uint8_t type_tag = 0;          ///< ArtifactType behind the void
-    std::string key;                    ///< untagged store key
-    std::shared_ptr<const void> value;  ///< the artifact itself
-    std::size_t weight = 0;             ///< artifact weight (key bytes excluded)
-  };
-
-  /// Snapshot of every resident artifact in LRU order, least recent
-  /// first — re-inserting in this order reproduces the recency order,
-  /// so a loaded store evicts in the same sequence the saved one would
-  /// have.  Values are shared (cheap), not copied.
-  [[nodiscard]] std::vector<ExportedArtifact> export_artifacts() const WHARF_EXCLUDES(mutex_);
-
-  /// Persists every resident typed artifact to `path` — convenience
-  /// front of StoreSnapshot::save() (store_persist.hpp has the format
-  /// and durability contract).  Defined in store_persist.cpp.
-  [[nodiscard]] StoreSaveResult save(const std::string& path) const;
-
-  /// Loads a snapshot written by save() — convenience front of
-  /// StoreSnapshot::load(); corrupt or mismatched files degrade to a
-  /// cold start with a reason, never an error.  Defined in
-  /// store_persist.cpp.
-  [[nodiscard]] StoreLoadResult load(const std::string& path);
 
   /// Drops every artifact (counters other than residency are kept).
   void clear() WHARF_EXCLUDES(mutex_);
@@ -218,7 +178,6 @@ class ArtifactStore {
   struct Entry {
     std::shared_ptr<const void> value;
     ArtifactStage stage{};
-    std::uint8_t type_tag = 0;
     std::size_t weight = 0;
     std::uint64_t epoch = 0;
     /// Position in `recency_` (O(1) bump via splice on a hit).
@@ -239,8 +198,8 @@ class ArtifactStore {
   };
 
   void insert_locked(ArtifactStage stage, std::string tagged,
-                     std::shared_ptr<const void> value, std::size_t weight,
-                     std::uint8_t type_tag) WHARF_REQUIRES(mutex_);
+                     std::shared_ptr<const void> value, std::size_t weight)
+      WHARF_REQUIRES(mutex_);
   void evict_to_budget_locked() WHARF_REQUIRES(mutex_);
 
   const std::size_t byte_budget_;

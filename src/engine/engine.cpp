@@ -1,10 +1,8 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "engine/session.hpp"
@@ -89,9 +87,6 @@ Status AnalysisReport::worst_status() const {
 struct Engine::Impl {
   EngineOptions options;
   ArtifactStore store;
-  /// Startup snapshot-load outcome; written once in the constructor,
-  /// read-only afterwards (so lock-free access is safe).
-  PersistenceStats persistence;
 
   /// Engine-lifetime lookup totals, accumulated from per-request
   /// diagnostics after every served request.
@@ -100,74 +95,7 @@ struct Engine::Impl {
   std::size_t total_misses WHARF_GUARDED_BY(totals_mutex) = 0;
   std::size_t total_shared WHARF_GUARDED_BY(totals_mutex) = 0;
 
-  /// Periodic persist-on-idle (EngineOptions::persist_interval_ms): one
-  /// background thread that re-spills the snapshot whenever artifacts
-  /// were inserted since the last save, so an abruptly killed process
-  /// still leaves a warm snapshot.  Joined (never detached) on
-  /// destruction; the condvar interrupts the sleep so shutdown is
-  /// immediate.
-  util::Mutex persist_mutex;
-  util::CondVar persist_cv;
-  bool persist_stop WHARF_GUARDED_BY(persist_mutex) = false;
-  std::thread persist_thread;
-
-  explicit Impl(EngineOptions opts) : options(std::move(opts)), store(options.cache_bytes) {
-    if (options.store_dir.empty()) return;
-    // Best-effort warm start: an unwritable dir or corrupt snapshot
-    // leaves the engine cold and fully functional.
-    (void)ensure_store_dir(options.store_dir);
-    const StoreLoadResult loaded = store.load(store_snapshot_path(options.store_dir));
-    persistence.persisted_artifacts = loaded.records_loaded;
-    persistence.load_skipped_corrupt = loaded.records_skipped;
-    persistence.load_reason = loaded.reason;
-    if (options.persist_interval_ms > 0) {
-      persist_thread = std::thread([this] { persist_loop(); });
-    }
-  }
-
-  ~Impl() {
-    if (!persist_thread.joinable()) return;
-    {
-      const util::MutexLock guard(persist_mutex);
-      persist_stop = true;
-    }
-    persist_cv.notify_all();
-    persist_thread.join();
-  }
-
-  /// Total store insertions so far — the dirty check of the periodic
-  /// persist (the startup load's own insertions count as already saved).
-  [[nodiscard]] std::size_t total_insertions() const {
-    std::size_t n = 0;
-    for (const ArtifactStore::StageStats& stage : store.stats().stage) n += stage.insertions;
-    return n;
-  }
-
-  /// Spills the snapshot exactly like Engine::persist().
-  [[nodiscard]] StoreSaveResult save_snapshot() const {
-    const Status dir = ensure_store_dir(options.store_dir);
-    if (!dir.is_ok()) return StoreSaveResult{dir, 0, 0, 0};
-    return store.save(store_snapshot_path(options.store_dir));
-  }
-
-  void persist_loop() WHARF_EXCLUDES(persist_mutex) {
-    const auto interval = std::chrono::milliseconds(options.persist_interval_ms);
-    std::size_t last_saved = total_insertions();
-    for (;;) {
-      {
-        const util::MutexLock guard(persist_mutex);
-        if (!persist_stop) (void)persist_cv.wait_for(persist_mutex, interval);
-        // A final save on graceful shutdown is the owner's job
-        // (spill_store); the periodic thread only covers abrupt death.
-        if (persist_stop) return;
-      }
-      const std::size_t inserted = total_insertions();
-      if (inserted == last_saved) continue;  // idle: nothing new to spill
-      // Best-effort: a failing save (unwritable dir, disk full) retries
-      // on the next dirty tick rather than aborting the thread.
-      if (save_snapshot().status.is_ok()) last_saved = inserted;
-    }
-  }
+  explicit Impl(EngineOptions opts) : options(opts), store(options.cache_bytes) {}
 
   /// Folds one served report into the engine-lifetime totals.
   void accumulate(const AnalysisReport& report) WHARF_EXCLUDES(totals_mutex) {
@@ -178,7 +106,7 @@ struct Engine::Impl {
   }
 };
 
-Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>(std::move(options))) {}
+Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>(options)) {}
 Engine::~Engine() = default;
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
@@ -252,13 +180,6 @@ Engine::CacheStats Engine::cache_stats() const {
 ArtifactStore::Stats Engine::store_stats() const { return impl_->store.stats(); }
 
 void Engine::clear_cache() { impl_->store.clear(); }
-
-const Engine::PersistenceStats& Engine::persistence_stats() const { return impl_->persistence; }
-
-StoreSaveResult Engine::persist() const {
-  if (impl_->options.store_dir.empty()) return StoreSaveResult{};
-  return impl_->save_snapshot();
-}
 
 // ---------------------------------------------------------------------
 // JSON serialization

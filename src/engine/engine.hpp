@@ -44,7 +44,6 @@
 #include "core/twca.hpp"
 #include "engine/artifact_store.hpp"
 #include "engine/pipeline.hpp"
-#include "engine/store_persist.hpp"
 #include "search/priority_search.hpp"
 #include "sim/simulator.hpp"
 #include "util/status.hpp"
@@ -300,19 +299,6 @@ struct EngineOptions {
   /// Artifact-store weight budget in bytes (admission and LRU eviction
   /// are by measured artifact weight; 0 = unlimited).
   std::size_t cache_bytes = ArtifactStore::kDefaultByteBudget;
-  /// Directory of the persistent artifact snapshot: the engine loads
-  /// `store_dir/wharf_store.snapshot` at construction (corrupt or
-  /// missing files degrade to a cold start, never an error) and
-  /// persist() spills back to it.  Empty = no persistence.
-  std::string store_dir{};
-  /// Periodic persist-on-idle interval in milliseconds (0 = off, and
-  /// always off when store_dir is empty).  When set, a background thread
-  /// re-spills the snapshot whenever new artifacts were inserted since
-  /// the last save, so a process killed without a graceful shutdown
-  /// (SIGKILL'ed sweep worker, OOM) still leaves a warm snapshot behind.
-  /// Each save is the same atomic write-temp-then-rename as persist() —
-  /// a kill mid-save can never corrupt the previous snapshot.
-  long long persist_interval_ms = 0;
 };
 
 /// The facade.  Thread-safe: run()/run_batch()/open_session() and the
@@ -377,25 +363,6 @@ class Engine {
   /// Thread-safe, but answers in-flight on other threads may have
   /// already resolved against the old contents.
   void clear_cache();
-
-  /// What the startup snapshot load found (zeros when store_dir is
-  /// empty or the file was absent).  Immutable after construction.
-  struct PersistenceStats {
-    /// Artifacts restored from the snapshot at construction.
-    std::size_t persisted_artifacts = 0;
-    /// Records skipped because the snapshot was corrupt, truncated, or
-    /// version-mismatched (the engine started cold instead).
-    std::size_t load_skipped_corrupt = 0;
-    /// Why the load fell back cold ("" when it didn't).
-    std::string load_reason;
-  };
-  /// The startup-load outcome for diagnostics surfaces.  Thread-safe.
-  [[nodiscard]] const PersistenceStats& persistence_stats() const;
-
-  /// Spills the store to `store_dir` (no-op OK result when store_dir is
-  /// empty).  Atomic: a failure leaves any previous snapshot intact.
-  /// Thread-safe, but artifacts inserted concurrently may miss the cut.
-  [[nodiscard]] StoreSaveResult persist() const;
 
  private:
   struct Impl;

@@ -7,33 +7,54 @@
 #include <utility>
 
 #include "core/model_slice.hpp"
-#include "engine/artifact_types.hpp"
 #include "util/expect.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/weight.hpp"
 
 namespace wharf {
 
 namespace {
 
 // ---------------------------------------------------------------------
-// Artifact type tags (artifact_types.hpp holds the weights and the tag
-// enum; this maps the stage value types onto their persistent tags so
-// acquire<T> can record them without per-call-site plumbing)
+// Artifact weights: the resident bytes each stage value charges against
+// the store's byte budget (struct plus owned heap).
 // ---------------------------------------------------------------------
 
-template <typename T>
-constexpr ArtifactType artifact_tag = ArtifactType::kUntyped;
-template <>
-constexpr ArtifactType artifact_tag<InterferenceContext> = ArtifactType::kInterferenceContext;
-template <>
-constexpr ArtifactType artifact_tag<LatencyResult> = ArtifactType::kLatencyResult;
-template <>
-constexpr ArtifactType artifact_tag<TargetArtifacts> = ArtifactType::kTargetArtifacts;
-template <>
-constexpr ArtifactType artifact_tag<DmmResult> = ArtifactType::kDmmResult;
-template <>
-constexpr ArtifactType artifact_tag<ilp::PackingSolution> = ArtifactType::kPackingSolution;
+std::size_t weight_of(const InterferenceContext& ctx) {
+  std::size_t total = sizeof(ctx) + util::heap_bytes(ctx.self_header);
+  if (ctx.self_table) total += sizeof(ArrivalTable) + ctx.self_table->heap_bytes();
+  for (const ChainInterference& info : ctx.others) {
+    total += sizeof(info) + util::heap_bytes(info.header_segment);
+    for (const Segment& s : info.segments) total += sizeof(s) + util::heap_bytes(s.tasks);
+    if (info.critical.has_value()) total += util::heap_bytes(info.critical->tasks);
+    if (info.table) total += sizeof(ArrivalTable) + info.table->heap_bytes();
+  }
+  return total;
+}
+
+std::size_t weight_of(const LatencyResult& r) {
+  return sizeof(r) + util::heap_bytes(r.busy_times) + util::heap_bytes(r.reason);
+}
+
+std::size_t weight_of(const TargetArtifacts& a) {
+  std::size_t total = sizeof(a);
+  for (const OverloadActiveSegments& pc : a.structure.per_chain) {
+    total += sizeof(pc);
+    for (const ActiveSegment& s : pc.active) total += sizeof(s) + util::heap_bytes(s.tasks);
+  }
+  for (const Combination& c : a.unschedulable) total += sizeof(c) + util::heap_bytes(c.segments);
+  if (a.no_guarantee_reason.has_value()) total += util::heap_bytes(*a.no_guarantee_reason);
+  return total;
+}
+
+std::size_t weight_of(const DmmResult& r) {
+  return sizeof(r) + util::heap_bytes(r.omegas) + util::heap_bytes(r.reason);
+}
+
+std::size_t weight_of(const ilp::PackingSolution& s) {
+  return sizeof(s) + util::heap_bytes(s.counts);
+}
 
 /// Canonical content encoding of a packing problem (the ILP stage key —
 /// two targets or k values yielding the same capacities and incidence
@@ -208,8 +229,7 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const std
           auto value = std::make_shared<const T>(make());
           const std::size_t weight = weight_of(*value);
           return std::pair<std::shared_ptr<const void>, std::size_t>(std::move(value), weight);
-        },
-        static_cast<std::uint8_t>(artifact_tag<T>));
+        });
   } catch (...) {
     {
       const util::MutexLock guard(shared->diag_mutex);

@@ -658,7 +658,7 @@ std::vector<search::Objective> Session::evaluate_candidates(
   WHARF_EXPECT(k >= 1, "evaluation horizon k must be >= 1, got " << k);
   // Same construction as run_search: candidates speculate off a base
   // session against the shared store, so a sweep worker's units reuse
-  // every artifact earlier units (or a warm snapshot) already solved.
+  // every artifact earlier units already solved.
   const search::EvaluationSpec spec{k, {}};
   search::PipelineEvaluator evaluator(*impl_->model, spec, impl_->options, *impl_->store,
                                       impl_->jobs);

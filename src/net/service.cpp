@@ -171,14 +171,6 @@ std::string handle_diagnostics(Conversation& conversation, const io::WireRequest
     // share is the "shared" counter of its stats above).
     w.key("shared_flights");
     w.value(static_cast<long long>(shared_flights));
-    // Startup snapshot-load outcome (both zero without --store-dir or
-    // on a genuinely cold start; load_skipped_corrupt > 0 means the
-    // snapshot was rejected and the store started cold).
-    const Engine::PersistenceStats& persistence = conversation.engine->persistence_stats();
-    w.key("persisted_artifacts");
-    w.value(static_cast<long long>(persistence.persisted_artifacts));
-    w.key("load_skipped_corrupt");
-    w.value(static_cast<long long>(persistence.load_skipped_corrupt));
     w.end_object();
     w.key("sessions_open");
     w.value(static_cast<long long>(conversation.sessions.size()));

@@ -44,8 +44,10 @@ struct ServeTelemetry {
   std::atomic<long long> requests_served{0};     ///< requests answered
   /// Requests answered with deadline-exceeded instead of being run.
   std::atomic<long long> deadline_expired{0};
-  /// Times a connection's reads were paused (write queue over its bound
-  /// or the global in-flight budget exhausted).
+  /// Times a connection's reads were paused because the global
+  /// in-flight request budget was full (at accept, before a read, or
+  /// after a read filled it).  Pauses for a write queue over its bound
+  /// are not counted.
   std::atomic<long long> backpressure_stalls{0};
   /// Request lines rejected for exceeding the protocol line bound.
   std::atomic<long long> oversized_lines{0};

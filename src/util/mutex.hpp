@@ -24,7 +24,6 @@
 #ifndef WHARF_UTIL_MUTEX_HPP
 #define WHARF_UTIL_MUTEX_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -129,15 +128,6 @@ class CondVar {
   /// Atomically releases `mutex` and blocks; `mutex` is re-held on
   /// return.  Spurious wakeups happen — always wait in a predicate loop.
   void wait(Mutex& mutex) WHARF_REQUIRES(mutex) { cv_.wait(mutex); }
-
-  /// Timed wait: like wait(), but returns after at most `timeout` even
-  /// without a notify (periodic background work — e.g. the engine's
-  /// persist-on-idle tick — waits this way so shutdown can interrupt the
-  /// sleep).  Returns false on timeout, true when notified; either way
-  /// the caller re-checks its predicate, exactly as with wait().
-  bool wait_for(Mutex& mutex, std::chrono::milliseconds timeout) WHARF_REQUIRES(mutex) {
-    return cv_.wait_for(mutex, timeout) == std::cv_status::no_timeout;
-  }
 
   /// Wakes one / every waiter.
   void notify_one() { cv_.notify_one(); }

@@ -150,7 +150,7 @@ TEST(ArrivalTable, ReportsBitIdenticalAcrossJobsAndTinyCache) {
   // rather than reused — the answers must not care.
   std::vector<std::string> baseline;
   for (const int jobs : {1, 4, 16}) {
-    Engine engine{EngineOptions{jobs, /*cache_bytes=*/4'096, /*store_dir=*/""}};
+    Engine engine{EngineOptions{jobs, /*cache_bytes=*/4'096}};
     const std::vector<AnalysisReport> reports = engine.run_batch(requests);
     ASSERT_EQ(reports.size(), requests.size());
     if (baseline.empty()) {

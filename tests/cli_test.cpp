@@ -514,6 +514,31 @@ TEST(Cli, ServeUsageErrors) {
   EXPECT_EQ(bad_jobs.exit_code, 1);
 }
 
+TEST(Cli, UnknownOptionIsAUsageError) {
+  // A misspelt flag must not silently select the default output.
+  const CliRun typo = invoke({"analyze", "-", "--k", "3", "--jsn"}, case_study_text());
+  EXPECT_EQ(typo.exit_code, 1);
+  EXPECT_NE(typo.err.find("unknown option '--jsn'"), std::string::npos) << typo.err;
+  EXPECT_TRUE(typo.out.empty()) << typo.out;
+
+  // A removed option is named as such, not mistaken for a positional
+  // argument by the subcommand.
+  const CliRun removed = invoke({"serve", "--store-dir", "D"});
+  EXPECT_EQ(removed.exit_code, 1);
+  EXPECT_NE(removed.err.find("unknown option '--store-dir'"), std::string::npos)
+      << removed.err;
+  EXPECT_EQ(removed.err.find("positional"), std::string::npos) << removed.err;
+}
+
+TEST(Cli, HelpWorksOnEverySubcommand) {
+  for (const char* command :
+       {"analyze", "dmm", "path", "simulate", "search", "sweep", "serve", "validate"}) {
+    const CliRun r = invoke({command, "--help"});
+    EXPECT_EQ(r.exit_code, 0) << command;
+    EXPECT_NE(r.out.find("usage:"), std::string::npos) << command;
+  }
+}
+
 TEST(Cli, HelpDocumentsServeExitCodes) {
   const CliRun help = invoke({"help"});
   EXPECT_EQ(help.exit_code, 0);

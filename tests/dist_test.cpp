@@ -5,8 +5,7 @@
 // oversized worker response — each asserting the merged report stays
 // bit-identical to the 1-worker / in-process oracle.  Plus the
 // randomized differential sweep (random systems x worker counts x kill
-// schedules) and the periodic-persist regression: a killed worker must
-// leave a snapshot its respawn warm-starts from.
+// schedules).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <random>
@@ -35,9 +33,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/shard.hpp"
 #include "engine/engine.hpp"
-#include "engine/store_persist.hpp"
 #include "gen/random_systems.hpp"
-#include "io/json.hpp"
 #include "io/system_format.hpp"
 #include "io/wire.hpp"
 #include "search/priority_search.hpp"
@@ -92,23 +88,6 @@ void expect_identical(const SweepOutcome& outcome, const search::Objective& nomi
   EXPECT_EQ(outcome.result.best_objective.total_wcl, oracle.best_objective.total_wcl);
   EXPECT_EQ(outcome.result.evaluations, oracle.evaluations);
 }
-
-/// A scratch --store-dir family root with recursive cleanup (worker
-/// subdirectories included).
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char name[] = "/tmp/wharf_dist_test_XXXXXX";
-    const char* made = ::mkdtemp(name);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "" : made;
-  }
-  ~TempDir() {
-    if (path.empty()) return;
-    std::error_code ignored;
-    std::filesystem::remove_all(path, ignored);
-  }
-};
 
 // ---------------------------------------------------------------------
 // Scripted stand-in workers
@@ -320,11 +299,8 @@ TEST(DistFaults, SigkilledWorkerMidUnitRespawnsAndStaysIdentical) {
 
   // One worker, killed after two completed units: the sweep *cannot*
   // finish unless the death is observed, the outstanding units requeue,
-  // and the respawn (same store dir -> warm start) picks them back up.
-  TempDir store;
-  WorkerSpec spec = spawn_spec();
-  spec.store_dir = util::cat(store.path, "/worker-0");
-  spec.persist_interval_ms = 10;
+  // and the (cold) respawn picks them back up.
+  const WorkerSpec spec = spawn_spec();
 
   SweepOptions sweep;
   sweep.k = 5;
@@ -577,91 +553,6 @@ TEST(DistDifferential, RandomSystemsWorkerCountsAndKillSchedules) {
                                     [](const std::string& m) { ADD_FAILURE() << m; });
   (void)shutdown.roundtrip(R"({"id":1,"type":"shutdown"})");
   server.join();
-}
-
-// ---------------------------------------------------------------------
-// Periodic persist regression
-// ---------------------------------------------------------------------
-
-// Regression: Engine::persist() used to run only on graceful shutdown,
-// so a SIGKILL'ed worker left nothing behind and its respawn started
-// cold.  With the periodic persist thread, a killed worker's store dir
-// must already hold a snapshot, and the respawned worker must report a
-// warm start (persisted_artifacts > 0) through diagnostics.
-TEST(DistPersist, SigkilledWorkerLeavesASnapshotItsRespawnLoads) {
-  TempDir store;
-  WorkerSpec spec = spawn_spec();
-  spec.store_dir = store.path;
-  spec.persist_interval_ms = 20;
-
-  Expected<WorkerLink> opened = WorkerLink::open(spec);
-  ASSERT_TRUE(opened) << opened.status().to_string();
-  WorkerLink worker = std::move(opened.value());
-
-  const std::string open_line =
-      util::cat(R"({"id":1,"type":"open_session","session":"s","system":")",
-                io::json_escape(tiny_text()), R"("})");
-  ASSERT_TRUE(worker.send_line(open_line));
-  Expected<std::string> ack = worker.read_line(20000);
-  ASSERT_TRUE(ack) << ack.status().to_string();
-  EXPECT_NE(ack.value().find(R"("status":"ok")"), std::string::npos) << ack.value();
-
-  // Score the full permutation set so the store holds artifacts worth
-  // snapshotting.
-  const System system = tiny_system();
-  std::string evaluate =
-      R"({"id":2,"type":"evaluate","session":"s","unit":1,"k":5,"candidates":[)";
-  const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (i != 0) evaluate += ',';
-    evaluate += '[';
-    for (std::size_t p = 0; p < candidates[i].size(); ++p) {
-      if (p != 0) evaluate += ',';
-      evaluate += util::cat(candidates[i][p]);
-    }
-    evaluate += ']';
-  }
-  evaluate += "]}";
-  ASSERT_TRUE(worker.send_line(evaluate));
-  Expected<std::string> scored = worker.read_line(20000);
-  ASSERT_TRUE(scored) << scored.status().to_string();
-  EXPECT_NE(scored.value().find(R"("status":"ok")"), std::string::npos) << scored.value();
-
-  // The *periodic* persist must write a snapshot while the worker is
-  // alive and busy — no shutdown involved.
-  const std::string snapshot = store_snapshot_path(store.path);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (::access(snapshot.c_str(), F_OK) != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(::access(snapshot.c_str(), F_OK), 0)
-      << "no periodic snapshot appeared at " << snapshot;
-
-  // Crash, not shutdown: SIGKILL skips every graceful persist path.
-  worker.kill_now();
-  worker.reap(/*grace_ms=*/5000);
-  worker.close_fd();
-
-  // The respawn against the same dir must come up warm.
-  Expected<WorkerLink> reopened = WorkerLink::open(spec);
-  ASSERT_TRUE(reopened) << reopened.status().to_string();
-  WorkerLink respawn = std::move(reopened.value());
-  ASSERT_TRUE(respawn.send_line(open_line));
-  Expected<std::string> reack = respawn.read_line(20000);
-  ASSERT_TRUE(reack) << reack.status().to_string();
-
-  ASSERT_TRUE(respawn.send_line(R"({"id":3,"type":"diagnostics","session":"s"})"));
-  Expected<std::string> diagnostics = respawn.read_line(20000);
-  ASSERT_TRUE(diagnostics) << diagnostics.status().to_string();
-  const io::JsonValue doc = io::parse_json(diagnostics.value());
-  EXPECT_GT(doc.at("engine_store").at("persisted_artifacts").as_int(), 0)
-      << diagnostics.value();
-  EXPECT_EQ(doc.at("engine_store").at("load_skipped_corrupt").as_int(), 0)
-      << diagnostics.value();
-
-  respawn.close_fd();
-  respawn.reap(/*grace_ms=*/5000);
 }
 
 }  // namespace

@@ -197,8 +197,8 @@ TEST(Engine, WeightBudgetBoundsResidencyViaEviction) {
   // A budget far below the request's artifact weight: the store must
   // keep resident bytes within it by evicting LRU artifacts (or
   // rejecting oversized ones), while answers stay correct.
-  Engine small{EngineOptions{1, /*cache_bytes=*/2048, /*store_dir=*/""}};
-  Engine unlimited{EngineOptions{1, /*cache_bytes=*/0, /*store_dir=*/""}};
+  Engine small{EngineOptions{1, /*cache_bytes=*/2048}};
+  Engine unlimited{EngineOptions{1, /*cache_bytes=*/0}};
   const AnalysisRequest request = AnalysisRequest::standard(case_study());
 
   const AnalysisReport constrained = small.run(request);
@@ -234,8 +234,8 @@ std::vector<AnalysisRequest> fig5_workload(int samples, std::uint64_t seed) {
 TEST(Engine, BatchParallelReportsBitIdenticalToSequential) {
   const std::vector<AnalysisRequest> requests = fig5_workload(24, 42);
 
-  Engine sequential{EngineOptions{1, EngineOptions{}.cache_bytes, ""}};
-  Engine parallel{EngineOptions{4, EngineOptions{}.cache_bytes, ""}};
+  Engine sequential{EngineOptions{1}};
+  Engine parallel{EngineOptions{4}};
   const std::vector<AnalysisReport> seq = sequential.run_batch(requests);
   const std::vector<AnalysisReport> par = parallel.run_batch(requests);
 
@@ -249,7 +249,7 @@ TEST(Engine, BatchParallelReportsBitIdenticalToSequential) {
 }
 
 TEST(Engine, BatchSharesCacheAcrossIdenticalSystems) {
-  Engine engine{EngineOptions{3, EngineOptions{}.cache_bytes, ""}};
+  Engine engine{EngineOptions{3}};
   const AnalysisRequest request{case_study(), {}, {DmmQuery{"sigma_c", {10}}}};
   const std::vector<AnalysisReport> reports = engine.run_batch({request, request, request});
   ASSERT_EQ(reports.size(), 3u);
@@ -492,8 +492,8 @@ TEST(Engine, ParallelIlpSplitBitIdenticalToSequential) {
   for (int sample = 0; sample < 6; ++sample) {
     const System sys = gen::random_system(spec, rng);
     AnalysisRequest request = AnalysisRequest::standard(sys, {1, 5, 10, 20});
-    Engine sequential{EngineOptions{1, EngineOptions{}.cache_bytes, ""}};
-    Engine parallel{EngineOptions{4, EngineOptions{}.cache_bytes, ""}};
+    Engine sequential{EngineOptions{1}};
+    Engine parallel{EngineOptions{4}};
     const AnalysisReport seq = sequential.run(request);
     const AnalysisReport par = parallel.run(request);
     EXPECT_EQ(to_json(seq), to_json(par)) << "sample " << sample;
