@@ -11,8 +11,6 @@
 
 #include "core/dmm_curve.hpp"
 #include "core/twca.hpp"
-#include "dist/client.hpp"
-#include "dist/coordinator.hpp"
 #include "engine/engine.hpp"
 #include "search/priority_search.hpp"
 #include "io/gantt.hpp"
@@ -44,11 +42,6 @@ usage:
   wharf search   <file> [--k K] [--strategy hill|random|exhaustive] [--budget N]
                  [--restarts R] [--max-permutations N] [--seed S] [--json]
                  [--jobs N] [--cache-bytes N]
-  wharf sweep    <file> [--k K] [--strategy exhaustive|random] [--budget N]
-                 [--seed S] [--max-permutations N]
-                 [--workers N | --connect host:port,...] [--unit-size N]
-                 [--window N] [--unit-deadline-ms MS] [--max-restarts N]
-                 [--jobs N] [--json]
   wharf serve    [--jobs N] [--cache-bytes N] [--listen PORT] [--max-connections N]
   wharf validate <file>
   wharf help
@@ -69,16 +62,6 @@ serve exit codes: 0 clean shutdown or EOF; 1 usage error; 4 transport failure
 Per-request errors (malformed JSON, unknown session, bad delta/query)
 are JSON error responses on the stream, and one client's transport
 failure ends only that connection: neither ever exits the server.
-
-sweep: the distributed form of `search --strategy exhaustive|random`:
-shards the candidate permutations over --workers spawned `wharf serve`
-processes (or over already-running `wharf serve --listen` peers via
---connect), keeps --window units outstanding per worker, steals work
-from laggards, re-issues units lost to crashed, hung (--unit-deadline-ms)
-or disconnected workers, and merges deterministically — the result is
-bit-identical to `wharf search` and to a 1-worker sweep for any worker
-count and any fault history (spec: docs/distributed.md).  A respawned
-worker starts cold; --jobs is the per-worker thread count.
 )";
 
 /// Parsed --key value / --flag options plus positional arguments.
@@ -98,9 +81,7 @@ bool option_takes_value(const std::string& name) {
          name == "--extra-gap" || name == "--gantt" || name == "--strategy" ||
          name == "--budget" || name == "--restarts" || name == "--max-permutations" ||
          name == "--jobs" || name == "--cache-bytes" || name == "--deadline" ||
-         name == "--budgets" || name == "--listen" || name == "--max-connections" ||
-         name == "--workers" || name == "--connect" || name == "--unit-size" ||
-         name == "--window" || name == "--unit-deadline-ms" || name == "--max-restarts";
+         name == "--budgets" || name == "--listen" || name == "--max-connections";
 }
 
 /// Every option the CLI knows: the valued ones plus the one flag.
@@ -526,198 +507,6 @@ int cmd_search(const Options& options, std::istream& in, std::ostream& out, std:
   return kOk;
 }
 
-int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::ostream& err) {
-  if (options.positional.size() != 1) {
-    err << "sweep expects exactly one file argument\n";
-    return kUsageError;
-  }
-  const auto system = load_system(options.positional[0], in, err);
-  if (!system.has_value()) return kInputError;
-
-  Count k = 10;
-  if (options.has("--k") && !parse_count(options.get("--k", ""), k, err, "k")) {
-    return kUsageError;
-  }
-  Count budget = 200;
-  if (options.has("--budget") &&
-      !parse_count(options.get("--budget", ""), budget, err, "budget")) {
-    return kUsageError;
-  }
-  Count seed = 1;
-  if (options.has("--seed") && !parse_count(options.get("--seed", ""), seed, err, "seed")) {
-    return kUsageError;
-  }
-  Count max_permutations = 50'000;
-  if (options.has("--max-permutations") &&
-      !parse_count(options.get("--max-permutations", ""), max_permutations, err,
-                   "max permutations")) {
-    return kUsageError;
-  }
-  const std::string strategy = options.get("--strategy", "exhaustive");
-  if (strategy != "exhaustive" && strategy != "random") {
-    err << "unknown sweep strategy '" << strategy
-        << "' (use exhaustive|random; hill climbing is sequential — use `wharf search`)\n";
-    return kUsageError;
-  }
-  int jobs = 1;
-  if (!parse_jobs(options, jobs, err)) return kUsageError;
-
-  // The candidate list is the exact enumeration `wharf search` scores —
-  // that is the determinism contract the merge leans on.
-  const auto candidates = capture([&] {
-    return strategy == "exhaustive"
-               ? search::exhaustive_candidates(*system, max_permutations)
-               : search::random_candidates(*system, static_cast<int>(budget),
-                                           static_cast<std::uint64_t>(seed));
-  });
-  if (!candidates) {
-    err << candidates.status().message() << "\n";
-    return kInputError;
-  }
-
-  std::vector<dist::WorkerSpec> workers;
-  if (options.has("--connect")) {
-    if (options.has("--workers")) {
-      err << "--workers and --connect are mutually exclusive\n";
-      return kUsageError;
-    }
-    for (const std::string& peer : util::split(options.get("--connect", ""), ',')) {
-      const auto colon = peer.rfind(':');
-      long long port = 0;
-      if (colon == std::string::npos || colon == 0 ||
-          !util::parse_int64(peer.substr(colon + 1), port) || port < 1 || port > 65535) {
-        err << "invalid --connect peer '" << peer << "' (want host:port)\n";
-        return kUsageError;
-      }
-      dist::WorkerSpec spec;
-      spec.host = peer.substr(0, colon);
-      spec.port = static_cast<int>(port);
-      workers.push_back(std::move(spec));
-    }
-    if (workers.empty()) {
-      err << "--connect needs at least one host:port peer\n";
-      return kUsageError;
-    }
-  } else {
-    Count worker_count = 2;
-    if (options.has("--workers") &&
-        !parse_count(options.get("--workers", ""), worker_count, err, "worker count")) {
-      return kUsageError;
-    }
-    const std::string binary = dist::self_binary();
-    for (Count i = 0; i < worker_count; ++i) {
-      dist::WorkerSpec spec;
-      spec.binary = binary;
-      spec.jobs = jobs;
-      workers.push_back(std::move(spec));
-    }
-  }
-
-  dist::SweepOptions sweep;
-  sweep.k = k;
-  Count value = 0;
-  if (options.has("--unit-size")) {
-    if (!parse_count(options.get("--unit-size", ""), value, err, "unit size")) {
-      return kUsageError;
-    }
-    sweep.unit_size = static_cast<std::size_t>(value);
-  }
-  if (options.has("--window")) {
-    if (!parse_count(options.get("--window", ""), value, err, "window")) return kUsageError;
-    sweep.window = static_cast<int>(value);
-  }
-  if (options.has("--unit-deadline-ms")) {
-    if (!parse_count(options.get("--unit-deadline-ms", ""), value, err, "unit deadline")) {
-      return kUsageError;
-    }
-    sweep.unit_deadline_ms = value;
-  }
-  if (options.has("--max-restarts")) {
-    if (!parse_count(options.get("--max-restarts", ""), value, err, "restart budget")) {
-      return kUsageError;
-    }
-    sweep.max_restarts = static_cast<int>(value);
-  }
-
-  const Expected<dist::SweepOutcome> outcome =
-      dist::run_sweep(*system, {}, candidates.value(), workers, sweep);
-  if (!outcome.has_value()) {
-    err << outcome.status().to_string() << "\n";
-    return exit_code_for(outcome.status());
-  }
-  const dist::SweepOutcome& sweep_result = outcome.value();
-  const dist::SweepTelemetry& telemetry = sweep_result.telemetry;
-
-  if (options.has("--json")) {
-    io::JsonWriter w(out);
-    w.begin_object();
-    w.key("nominal");
-    w.begin_object();
-    w.key("chains_missing");
-    w.value(sweep_result.nominal.chains_missing);
-    w.key("total_dmm");
-    w.value(sweep_result.nominal.total_dmm);
-    w.key("total_wcl");
-    w.value(sweep_result.nominal.total_wcl);
-    w.end_object();
-    w.key("best");
-    w.begin_object();
-    w.key("chains_missing");
-    w.value(sweep_result.result.best_objective.chains_missing);
-    w.key("total_dmm");
-    w.value(sweep_result.result.best_objective.total_dmm);
-    w.key("total_wcl");
-    w.value(sweep_result.result.best_objective.total_wcl);
-    w.key("priorities");
-    w.begin_array();
-    for (const Priority p : sweep_result.result.best_priorities) {
-      w.value(static_cast<long long>(p));
-    }
-    w.end_array();
-    w.end_object();
-    w.key("evaluations");
-    w.value(sweep_result.result.evaluations);
-    w.key("sweep");
-    w.begin_object();
-    w.key("workers");
-    w.value(telemetry.workers);
-    w.key("units");
-    w.value(static_cast<long long>(telemetry.units));
-    w.key("stolen_units");
-    w.value(telemetry.stolen_units);
-    w.key("reissued_units");
-    w.value(telemetry.reissued_units);
-    w.key("duplicate_results");
-    w.value(telemetry.duplicate_results);
-    w.key("worker_deaths");
-    w.value(telemetry.worker_deaths);
-    w.key("worker_restarts");
-    w.value(telemetry.worker_restarts);
-    w.key("protocol_errors");
-    w.value(telemetry.protocol_errors);
-    w.end_object();
-    w.end_object();
-    out << "\n";
-    return kOk;
-  }
-
-  out << "nominal:  missing=" << sweep_result.nominal.chains_missing
-      << " dmm=" << sweep_result.nominal.total_dmm << " wcl=" << sweep_result.nominal.total_wcl
-      << "\n";
-  out << "best:     missing=" << sweep_result.result.best_objective.chains_missing
-      << " dmm=" << sweep_result.result.best_objective.total_dmm
-      << " wcl=" << sweep_result.result.best_objective.total_wcl << "  ("
-      << sweep_result.result.evaluations << " evaluations)\n";
-  out << "priorities (flat task order):";
-  for (Priority p : sweep_result.result.best_priorities) out << ' ' << p;
-  out << '\n';
-  out << "sweep: " << telemetry.workers << " workers, " << telemetry.units << " units, "
-      << telemetry.stolen_units << " stolen, " << telemetry.reissued_units << " reissued, "
-      << telemetry.duplicate_results << " duplicates, " << telemetry.worker_deaths
-      << " deaths, " << telemetry.worker_restarts << " restarts\n";
-  return kOk;
-}
-
 int cmd_serve_dispatch(const Options& options, std::istream& in, std::ostream& out,
                        std::ostream& err) {
   if (!options.positional.empty()) {
@@ -788,7 +577,6 @@ int run(const std::vector<std::string>& args, std::istream& in, std::ostream& ou
   if (command == "path") return cmd_path(options, in, out, err);
   if (command == "simulate") return cmd_simulate(options, in, out, err);
   if (command == "search") return cmd_search(options, in, out, err);
-  if (command == "sweep") return cmd_sweep(options, in, out, err);
   if (command == "serve") return cmd_serve_dispatch(options, in, out, err);
   if (command == "validate") return cmd_validate(options, in, out, err);
   err << "unknown command '" << command << "'\n" << kUsage;

@@ -25,11 +25,19 @@ ArrivalTable::ArrivalTable(ArrivalModelPtr model) : model_(std::move(model)) {
   const Count dense = spec->valid_from + spec->block - 1;
   if (dense > kMaxDenseEntries) return;
   delta_.reserve(static_cast<std::size_t>(dense));
-  for (Count q = 1; q <= dense; ++q) delta_.push_back(model_->delta_minus(q));
+  bool below = true;
+  for (Count q = 1; q <= dense; ++q) {
+    const Time d = model_->delta_minus(q);
+    delta_.push_back(d);
+    // delta_minus(q) * block <= (q-1) * span, exact in 128 bits.
+    below = below && static_cast<__int128>(d) * spec->block <=
+                         static_cast<__int128>(q - 1) * spec->span;
+  }
   WHARF_ASSERT(delta_.front() == 0);
   WHARF_ASSERT(std::is_sorted(delta_.begin(), delta_.end()));
-  block_ = spec->block;
+  block_ = static_cast<std::int32_t>(spec->block);  // <= dense <= kMaxDenseEntries
   span_ = spec->span;
+  below_rate_line_ = below;
 }
 
 Count ArrivalTable::eta_plus(Time window) const {

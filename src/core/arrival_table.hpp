@@ -15,11 +15,19 @@
 /// Models without a tail spec (or with a dense prefix too large to
 /// materialize) keep working: the table falls back to the wrapped
 /// model's virtual evaluation, so flattening is purely an optimization.
+///
+/// The table also records, while it fills the prefix, whether the curve
+/// never lies above its rate line: delta_minus(q) <= (q-1) * span / block
+/// for every q.  Checking q in [1, valid_from + block - 1] suffices:
+/// beyond it, delta_minus(r + m*block) = delta_minus(r) + m*span and the
+/// line rises by the same m*span.  The busy-window overload certificate
+/// (busy_window.hpp) reads this bit next to (block, span).
 
 #ifndef WHARF_CORE_ARRIVAL_TABLE_HPP
 #define WHARF_CORE_ARRIVAL_TABLE_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/arrival.hpp"
@@ -51,6 +59,18 @@ class ArrivalTable {
   /// every query falls back to virtual evaluation.
   [[nodiscard]] bool flat() const { return !delta_.empty(); }
 
+  /// Tail stride of the flat curve in activations (1 when !flat()).
+  [[nodiscard]] Count block() const { return block_; }
+
+  /// Distance the flat curve gains per block (1 when !flat()).
+  [[nodiscard]] Time span() const { return span_; }
+
+  /// True when the table is flat and delta_minus(q) <= (q-1) * span /
+  /// block for every q (see the file comment).  Then eta_plus(w) >=
+  /// w * block / span for every w > 0, and delta_minus(q + 1) <=
+  /// q * span / block.
+  [[nodiscard]] bool below_rate_line() const { return below_rate_line_; }
+
   /// Heap footprint of the dense prefix, for store weight accounting.
   [[nodiscard]] std::size_t heap_bytes() const { return delta_.capacity() * sizeof(Time); }
 
@@ -59,8 +79,12 @@ class ArrivalTable {
   /// delta_[i] == delta_minus(i + 1); covers q in [1, valid_from + block - 1],
   /// so every residue class of the tail recurrence has a dense anchor.
   std::vector<Time> delta_;
-  Count block_ = 1;
   Time span_ = 1;
+  /// The flat path caps block at the dense-prefix limit (4096), so 32
+  /// bits hold it and the flag packs beside it: the table's size, which
+  /// the artifact store's weight accounting counts, stays unchanged.
+  std::int32_t block_ = 1;
+  bool below_rate_line_ = false;
 };
 
 }  // namespace wharf

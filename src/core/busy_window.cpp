@@ -18,7 +18,9 @@
 ///  * BusyTimeTerm labels are rendered lazily (BusyTimeTerm::label) —
 ///    the analysis allocates no diagnostic strings.
 /// The kernel itself allocates only at construction (the row array);
-/// every fixed-point iteration is allocation-free.
+/// every fixed-point iteration is allocation-free.  Before the K_b
+/// search, the long-run load certificate (busy_window.hpp) rejects
+/// overloaded targets in O(rows).
 
 #include "core/busy_window.hpp"
 
@@ -52,6 +54,58 @@ struct InterfererRow {
 Count row_eta(const InterfererRow& row, Time window) {
   return row.table != nullptr ? row.table->eta_plus(window) : row.model->eta_plus(window);
 }
+
+using Wide = __int128;
+
+Wide gcd(Wide a, Wide b) {
+  while (b != 0) {
+    const Wide r = a % b;
+    a = b;
+    b = r;
+  }
+  return a;
+}
+
+/// Exact nonnegative fraction num/den (den >= 1), kept reduced.
+struct Load {
+  Wide num = 0;
+  Wide den = 1;
+
+  /// Adds cost * block / span; false on 128-bit overflow.
+  bool add(Time cost, Count block, Time span) {
+    Wide n = static_cast<Wide>(cost) * block;
+    Wide d = span;
+    const Wide g = gcd(n, d);
+    n /= g;
+    d /= g;
+    const Wide h = gcd(den, d);
+    Wide sum_den = 0;
+    Wide lhs = 0;
+    Wide rhs = 0;
+    if (__builtin_mul_overflow(den / h, d, &sum_den) ||
+        __builtin_mul_overflow(num, d / h, &lhs) ||
+        __builtin_mul_overflow(n, den / h, &rhs) || __builtin_add_overflow(lhs, rhs, &num)) {
+      return false;
+    }
+    den = sum_den;
+    const Wide r = gcd(num, den);
+    num /= r;
+    den /= r;
+    return true;
+  }
+
+  [[nodiscard]] std::string str() const { return util::cat(digits(num), "/", digits(den)); }
+
+ private:
+  static std::string digits(Wide v) {
+    std::string out;
+    do {
+      out.insert(out.begin(), static_cast<char>('0' + static_cast<int>(v % 10)));
+      v /= 10;
+    } while (v != 0);
+    return out;
+  }
+};
 
 /// Flat evaluator of the Eq. (1)/(3)/(4) right-hand sides for one
 /// (target, exclude set) pair.  Built once per analysis; all hot-path
@@ -123,6 +177,36 @@ class BusyWindowKernel {
     return std::nullopt;  // iteration cap: treat as divergent
   }
 
+  /// The long-run load certificate (busy_window.hpp): the exact load
+  /// C_b*rho_b + sum of unit_cost_a*rho_a over the rows whose curve
+  /// stays below its rate line, when it is strictly above 1.  nullopt
+  /// when it is not, or cannot be decided here (no flat target table,
+  /// a target above its rate line, zero target cost, 128-bit overflow);
+  /// the K_b search then decides.
+  [[nodiscard]] std::optional<Load> certified_overload() const {
+    if (self_table_ == nullptr || !self_table_->below_rate_line() || target_cost_ <= 0) {
+      return std::nullopt;
+    }
+    // A double sum clearly below 1 settles the common bounded case
+    // without 128-bit arithmetic.  Each term is within a few ulps and the
+    // sum within (rows + 4) ulps of the exact load, far inside the margin.
+    double approx = 0;
+    visit_rate_terms([&](Time cost, Count block, Time span) {
+      approx += static_cast<double>(cost) * static_cast<double>(block) / static_cast<double>(span);
+      return true;
+    });
+    if (approx < 1.0 - 1e-9) return std::nullopt;
+    Load load;
+    bool overflow = false;
+    visit_rate_terms([&](Time cost, Count block, Time span) {
+      if (load.num > load.den) return false;  // every further term is >= 0
+      overflow = !load.add(cost, block, span);
+      return !overflow;
+    });
+    if (overflow || load.num <= load.den) return std::nullopt;
+    return load;
+  }
+
   /// delta_minus of the analyzed chain (flat table when available).
   [[nodiscard]] Time self_delta_minus(Count q) const {
     return self_table_ != nullptr ? self_table_->delta_minus(q) : self_model_->delta_minus(q);
@@ -165,6 +249,23 @@ class BusyWindowKernel {
     return sat_mul(extra, self_header_cost_);
   }
 
+  /// Calls visit(cost, block, span) for the target, then for every row
+  /// that may enter the certificate's sum, until visit returns false.
+  /// Rows without an eta factor or with a curve above its rate line are
+  /// skipped: every term of Eq. (1) is >= 0, so the sum stays a lower
+  /// bound.  Requires a flat target table.
+  template <typename Visit>
+  void visit_rate_terms(Visit visit) const {
+    if (!visit(target_cost_, self_table_->block(), self_table_->span())) return;
+    for (const InterfererRow& row : rows_) {
+      if (!row.has_eta || row.unit_cost <= 0 || row.table == nullptr ||
+          !row.table->below_rate_line()) {
+        continue;
+      }
+      if (!visit(row.unit_cost, row.table->block(), row.table->span())) return;
+    }
+  }
+
   /// One row's contribution at `window`.  An unbounded eta makes the
   /// term infinite regardless of cost, matching the reference path.
   [[nodiscard]] static Time term_of(const InterfererRow& row, Time window) {
@@ -190,6 +291,13 @@ LatencyResult run_latency_search(const BusyWindowKernel& kernel, const Chain& b,
   LatencyResult result;
   result.wcl = 0;
   result.worst_q = 0;
+
+  if (const std::optional<Load> load = kernel.certified_overload()) {
+    result.bounded = false;
+    result.reason = util::cat("long-run load ", load->str(),
+                              " exceeds 1: no maximal busy window exists");
+    return result;
+  }
 
   Count misses = 0;
   Time warm = 0;

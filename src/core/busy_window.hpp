@@ -7,6 +7,32 @@
 /// Lemma 3, and the overload-free "typical" bound L_b(q) of Eq. (4)
 /// together with the slack threshold that powers the schedulability
 /// criterion of Eq. (5).
+///
+/// Long-run load certificate.  Before the K_b search, the kernel checks
+/// in O(rows) whether the busy window can never close.  Write
+/// rho = block / span for a curve's tail rate (ArrivalTable) and call a
+/// curve *below its rate line* when delta_minus(q) <= (q-1) / rho for
+/// every q.  For such a curve, eta_plus(w) >= rho * w for every w > 0
+/// (the largest q with (q-1) / rho < w is ceil(rho * w)).  Let
+///   R = sum of unit_cost_a * rho_a
+/// over the interferer rows of Eq. (1) that carry an eta_plus factor
+/// and whose curve is below its rate line (C_a for arbitrary and naive
+/// rows, C_header for deferred async rows).  Every term of Eq. (1) is
+/// >= 0, so dropping the other rows, the constant parts and the async
+/// self term leaves a lower bound: any fixed point B(q) satisfies
+///   B(q) >= q * C_b + R * B(q).
+/// If the target's own curve is below its rate line, C_b > 0 and
+///   C_b * rho_b + R > 1,
+/// then either R >= 1 and no fixed point exists, or
+/// B(q) >= q * C_b / (1 - R) > q / rho_b >= delta_minus_b(q + 1) for
+/// every q, so the closing test B(q) <= delta_minus_b(q + 1) of
+/// Theorem 2 never holds.  Either way no maximal busy window exists and
+/// latency_analysis() returns unbounded at once, with the exact load in
+/// the reason and no busy_times.  The load is summed as an exact
+/// fraction in 128-bit integers.  At exactly 1, on overflow, or when the
+/// target's curve has no flat table or is not below its rate line (a
+/// burst with d > P/n, a curve() prefix above its tail slope), the
+/// search decides as before.
 
 #ifndef WHARF_CORE_BUSY_WINDOW_HPP
 #define WHARF_CORE_BUSY_WINDOW_HPP
@@ -43,7 +69,9 @@ struct LatencyResult {
   std::string reason;
   /// K_b: number of activations fitting one maximal busy window (Thm 2).
   Count K = 0;
-  /// B_b(1..K); busy_times[q-1] is B_b(q).
+  /// B_b(1..K); busy_times[q-1] is B_b(q).  When unbounded, the busy
+  /// times computed before the search gave up (none when the long-run
+  /// load certificate rejected the target up front).
   std::vector<Time> busy_times;
   /// Worst-case latency WCL_b = max_q B_b(q) - delta_minus(q).
   Time wcl = 0;

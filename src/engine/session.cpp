@@ -653,18 +653,6 @@ LatencyResult Session::latency(int chain, bool without_overload) {
 
 DmmResult Session::dmm(int chain, Count k) { return impl_->pipeline->dmm(chain, k); }
 
-std::vector<search::Objective> Session::evaluate_candidates(
-    const std::vector<std::vector<Priority>>& candidates, Count k) {
-  WHARF_EXPECT(k >= 1, "evaluation horizon k must be >= 1, got " << k);
-  // Same construction as run_search: candidates speculate off a base
-  // session against the shared store, so a sweep worker's units reuse
-  // every artifact earlier units already solved.
-  const search::EvaluationSpec spec{k, {}};
-  search::PipelineEvaluator evaluator(*impl_->model, spec, impl_->options, *impl_->store,
-                                      impl_->jobs);
-  return evaluator.evaluate_many(candidates);
-}
-
 std::uint64_t Session::fingerprint() const {
   return util::fnv1a64(model_fingerprint(*impl_->model, impl_->options));
 }

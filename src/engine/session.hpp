@@ -203,17 +203,6 @@ class Session {
   [[nodiscard]] LatencyResult latency(int chain, bool without_overload = false);
   [[nodiscard]] DmmResult dmm(int chain, Count k);
 
-  /// Scores a batch of candidate priority assignments (flat task order,
-  /// applied via System::with_priorities) against this session's store —
-  /// the worker half of the distributed sweep's `evaluate` request.
-  /// Index-aligned with `candidates`; objectives are pure functions of
-  /// the candidate, so equal inputs yield bit-equal outputs on any
-  /// worker, warm or cold.  Throws (core contract) on wrong-arity or
-  /// non-permutation candidates — the protocol layer captures that into
-  /// an error envelope.
-  [[nodiscard]] std::vector<search::Objective> evaluate_candidates(
-      const std::vector<std::vector<Priority>>& candidates, Count k);
-
   /// Whole-request fingerprint of the current model + options (the
   /// ReportDiagnostics::system_hash of reports served at this revision).
   [[nodiscard]] std::uint64_t fingerprint() const;

@@ -370,7 +370,6 @@ const char* to_string(WireKind kind) {
     case WireKind::kOpenSession: return "open_session";
     case WireKind::kApplyDelta: return "apply_delta";
     case WireKind::kQuery: return "query";
-    case WireKind::kEvaluate: return "evaluate";
     case WireKind::kDiagnostics: return "diagnostics";
     case WireKind::kClose: return "close";
     case WireKind::kShutdown: return "shutdown";
@@ -596,8 +595,6 @@ Expected<WireRequest> parse_request(const std::string& line) {
       request.kind = WireKind::kApplyDelta;
     } else if (type == "query") {
       request.kind = WireKind::kQuery;
-    } else if (type == "evaluate") {
-      request.kind = WireKind::kEvaluate;
     } else if (type == "diagnostics") {
       request.kind = WireKind::kDiagnostics;
     } else if (type == "close") {
@@ -631,25 +628,6 @@ Expected<WireRequest> parse_request(const std::string& line) {
           request.stream = stream->as_bool();
         }
         break;
-      case WireKind::kEvaluate: {
-        const long long unit = root.at("unit").as_int();
-        WHARF_EXPECT(unit >= 0, "unit must be >= 0, got " << unit);
-        request.unit = static_cast<std::uint64_t>(unit);
-        for (const JsonValue& candidate : root.at("candidates").items()) {
-          std::vector<Priority> priorities;
-          for (const JsonValue& p : candidate.items()) {
-            priorities.push_back(static_cast<Priority>(p.as_int()));
-          }
-          request.candidates.push_back(std::move(priorities));
-        }
-        WHARF_EXPECT(!request.candidates.empty(), "candidates must not be empty");
-        if (const JsonValue* k = root.find("k")) {
-          const long long v = k->as_int();
-          WHARF_EXPECT(v >= 1, "k must be >= 1, got " << v);
-          request.eval_k = static_cast<Count>(v);
-        }
-        break;
-      }
       default: break;
     }
     return request;

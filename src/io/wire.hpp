@@ -12,8 +12,6 @@
 ///    "options":{"cap_at_k":false}}
 ///   {"id":2,"type":"apply_delta","session":"s","deltas":[{"kind":"set_priority",...}]}
 ///   {"id":3,"type":"query","session":"s","queries":[{"kind":"latency","chain":"a"}]}
-///   {"id":7,"type":"evaluate","session":"s","unit":12,"k":10,
-///    "candidates":[[2,1,3],[3,1,2]]}
 ///   {"id":4,"type":"diagnostics","session":"s"}
 ///   {"id":5,"type":"close","session":"s"}
 ///   {"id":6,"type":"shutdown"}
@@ -32,7 +30,7 @@
 #ifndef WHARF_IO_WIRE_HPP
 #define WHARF_IO_WIRE_HPP
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -200,7 +198,6 @@ enum class WireKind {
   kOpenSession,
   kApplyDelta,
   kQuery,
-  kEvaluate,
   kDiagnostics,
   kClose,
   kShutdown,
@@ -229,17 +226,6 @@ struct WireRequest {
   /// a terminal summary frame (docs/serve-protocol.md, "Streaming
   /// responses") instead of one monolithic report response.
   bool stream = false;
-  /// evaluate: the coordinator's shard-unit id, echoed in the response —
-  /// the first-result-wins dedup key of the distributed sweep (see
-  /// docs/distributed.md).
-  std::uint64_t unit = 0;
-  /// evaluate: candidate priority assignments to score, one flat
-  /// task-order vector per candidate (applied via
-  /// System::with_priorities; a wrong-arity or non-permutation candidate
-  /// is a per-request error envelope, not a transport failure).
-  std::vector<std::vector<Priority>> candidates;
-  /// evaluate: the dmm horizon k of the scoring objective.
-  Count eval_k = 10;
 };
 
 /// Parses one request line.  Errors (malformed JSON, unknown type or

@@ -116,37 +116,6 @@ std::string handle_query(Conversation& conversation, const io::WireRequest& requ
   });
 }
 
-std::string handle_evaluate(Conversation& conversation, const io::WireRequest& request) {
-  Session* session = find_session(conversation, request.session);
-  if (session == nullptr) return unknown_session(request);
-  // A malformed shard unit (wrong-arity candidate, duplicate priorities)
-  // throws inside the evaluator; capture() turns it into the error
-  // envelope — the coordinator treats that as a faulty worker response
-  // and re-issues the unit elsewhere.
-  const auto objectives =
-      capture([&] { return session->evaluate_candidates(request.candidates, request.eval_k); });
-  if (!objectives) return io::wire_response(request, objectives.status());
-  return io::wire_response(request, Status::ok(), [&](io::JsonWriter& w) {
-    // The echoed unit id is the coordinator's first-result-wins dedup
-    // key (duplicate responses for a unit are discarded by id).
-    w.key("unit");
-    w.value(static_cast<long long>(request.unit));
-    w.key("objectives");
-    w.begin_array();
-    for (const search::Objective& o : objectives.value()) {
-      w.begin_object();
-      w.key("chains_missing");
-      w.value(o.chains_missing);
-      w.key("total_dmm");
-      w.value(o.total_dmm);
-      w.key("total_wcl");
-      w.value(o.total_wcl);
-      w.end_object();
-    }
-    w.end_array();
-  });
-}
-
 std::string handle_diagnostics(Conversation& conversation, const io::WireRequest& request) {
   Session* session = find_session(conversation, request.session);
   if (session == nullptr) return unknown_session(request);
@@ -222,7 +191,6 @@ std::string handle_request(Conversation& conversation, const io::WireRequest& re
     case io::WireKind::kOpenSession: return handle_open(conversation, request);
     case io::WireKind::kApplyDelta: return handle_apply(conversation, request);
     case io::WireKind::kQuery: return handle_query(conversation, request);
-    case io::WireKind::kEvaluate: return handle_evaluate(conversation, request);
     case io::WireKind::kDiagnostics: return handle_diagnostics(conversation, request);
     case io::WireKind::kClose: return handle_close(conversation, request);
     case io::WireKind::kShutdown:

@@ -44,9 +44,9 @@ std::vector<int> resolve_targets(const System& system, const EvaluationSpec& spe
   return targets;
 }
 
-/// The shared factorial guard of exhaustive_search/exhaustive_candidates:
-/// returns the base priorities sorted into enumeration start order,
-/// throwing when the permutation count exceeds `max_permutations`.
+/// The factorial guard of exhaustive_search: returns the base
+/// priorities sorted into enumeration start order, throwing when the
+/// permutation count exceeds `max_permutations`.
 std::vector<Priority> exhaustive_start(const System& base, long long max_permutations) {
   std::vector<Priority> priorities = base.flat_priorities();
   std::sort(priorities.begin(), priorities.end());
@@ -61,8 +61,10 @@ std::vector<Priority> exhaustive_start(const System& base, long long max_permuta
   return priorities;
 }
 
-}  // namespace
-
+/// Folds index-aligned scores into the incumbent: candidates in index
+/// order, strict improvement only (ties keep the earlier candidate).
+/// `have_best` threads the "incumbent exists yet" state across blocks;
+/// `result.evaluations` bookkeeping stays with the caller.
 void fold_scores(const std::vector<std::vector<Priority>>& candidates,
                  const std::vector<Objective>& scores, SearchResult& result, bool& have_best) {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -74,26 +76,8 @@ void fold_scores(const std::vector<std::vector<Priority>>& candidates,
   }
 }
 
-std::vector<std::vector<Priority>> exhaustive_candidates(const System& base,
-                                                         long long max_permutations) {
-  std::vector<Priority> priorities = exhaustive_start(base, max_permutations);
-  std::vector<std::vector<Priority>> candidates;
-  do {
-    candidates.push_back(priorities);
-  } while (std::next_permutation(priorities.begin(), priorities.end()));
-  return candidates;
-}
+}  // namespace
 
-std::vector<std::vector<Priority>> random_candidates(const System& base, int samples,
-                                                     std::uint64_t seed) {
-  WHARF_EXPECT(samples >= 1, "need at least one sample");
-  std::mt19937_64 rng(seed);
-  const int n = base.task_count();
-  std::vector<std::vector<Priority>> candidates;
-  candidates.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) candidates.push_back(gen::shuffled_priorities(n, rng));
-  return candidates;
-}
 
 // ---------------------------------------------------------------------
 // EvaluatorStats / Evaluator

@@ -178,32 +178,6 @@ struct SearchResult {
   long long evaluations = 0;
 };
 
-/// The exact candidate list exhaustive_search() scores, in its exact
-/// enumeration order (sorted priority multiset, std::next_permutation).
-/// Materialized for shard planners — the distributed sweep slices this
-/// list into work units, and merging per-candidate objectives back in
-/// index order via fold_scores() reproduces exhaustive_search()'s
-/// result bit for bit.  Same factorial guard: throws when the
-/// permutation count exceeds `max_permutations`.
-[[nodiscard]] std::vector<std::vector<Priority>> exhaustive_candidates(
-    const System& base, long long max_permutations = 50'000);
-
-/// The exact candidate list random_search() scores for the same
-/// (samples, seed), in rng draw order — the random-strategy counterpart
-/// of exhaustive_candidates().
-[[nodiscard]] std::vector<std::vector<Priority>> random_candidates(const System& base,
-                                                                   int samples,
-                                                                   std::uint64_t seed);
-
-/// Folds index-aligned scores into the incumbent exactly like the
-/// sequential search loops do: candidates in index order, strict
-/// improvement only (ties keep the earlier candidate).  `have_best`
-/// threads the "incumbent exists yet" state across calls so a caller can
-/// fold block by block; final `result.evaluations` bookkeeping stays
-/// with the caller.  This is the merge kernel of the distributed sweep.
-void fold_scores(const std::vector<std::vector<Priority>>& candidates,
-                 const std::vector<Objective>& scores, SearchResult& result, bool& have_best);
-
 /// Exhaustively scores every permutation of the existing priority set.
 /// Throws wharf::InvalidArgument when the permutation count exceeds
 /// `max_permutations` (guard against factorial blow-up).

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/busy_window.hpp"
 #include "core/case_studies.hpp"
+#include "tests/support/busy_window_reference.hpp"
 #include "util/expect.hpp"
 
 namespace wharf {
@@ -296,8 +299,11 @@ TEST(BusyWindow, ExactlyFullUtilizationHandled) {
   const LatencyResult r = latency_analysis(sys, 1, options);
   // At exactly U=1 the busy window closes at every q (B(q) = 10q =
   // delta(q+1)); the analysis is bounded with K at the cap or earlier.
+  // The long-run load certificate needs a load strictly above 1, so the
+  // K_b search decides here.
   ASSERT_TRUE(r.bounded);
   EXPECT_EQ(r.wcl, 10);
+  EXPECT_FALSE(r.busy_times.empty());
 }
 
 TEST(BusyWindow, SingleChainAloneIsItsOwnWcet) {
@@ -387,6 +393,260 @@ TEST(BusyWindow, AsynchronousHeaderPileUp) {
   ASSERT_TRUE(r.bounded);
   EXPECT_EQ(r.busy_times[0], 7);
   EXPECT_EQ(r.wcl, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Long-run load certificate (busy_window.hpp)
+// ---------------------------------------------------------------------------
+
+/// True when latency_analysis() answered through the load certificate
+/// rather than through the K_b search.
+bool certified(const LatencyResult& r) {
+  return !r.bounded && r.busy_times.empty() && r.reason.rfind("long-run load ", 0) == 0;
+}
+
+Chain::Spec chain_spec(const std::string& name, ArrivalModelPtr arrival, std::vector<Task> tasks,
+                       ChainKind kind = ChainKind::kSynchronous) {
+  Chain::Spec s;
+  s.name = name;
+  s.kind = kind;
+  s.arrival = std::move(arrival);
+  s.deadline = 100'000;
+  s.tasks = std::move(tasks);
+  return s;
+}
+
+/// One random arrival curve of the five library families, with its tail
+/// rate block / span and whether it was drawn below its rate line.
+struct RandomCurve {
+  ArrivalModelPtr model;
+  double rate = 0;
+  bool below = true;
+};
+
+RandomCurve random_curve(std::mt19937_64& rng) {
+  const auto pick = [&](Time lo, Time hi) {
+    return std::uniform_int_distribution<Time>(lo, hi)(rng);
+  };
+  const Time span = pick(20'000, 60'000);
+  const double rate = 1.0 / static_cast<double>(span);
+  switch (pick(0, 4)) {
+    case 0:
+      return {periodic(span), rate, true};
+    case 1:
+      return {periodic_jitter(span, pick(0, 3 * span), pick(1, span / 2)), rate, true};
+    case 2:
+      return {sporadic(span), rate, true};
+    case 3: {
+      // curve(d2, d3; span) is below its line iff d2 <= span, d3 <= 2 span.
+      const bool below = pick(0, 3) != 0;
+      const Time d2 = below ? pick(0, span) : pick(span + 1, 2 * span);
+      const Time d3 = pick(d2, below ? 2 * span : 3 * span);
+      return {delta_curve({d2, d3}, span), rate, below};
+    }
+    default: {
+      // burst(P, n, d) is below its line iff d <= P / n.
+      const Count n = pick(2, 4);
+      const bool below = pick(0, 3) != 0;
+      const Time inner = below ? pick(1, span / n) : pick(span / n + 1, span / (n - 1));
+      return {sporadic_burst(span, n, inner), static_cast<double>(n) * rate, below};
+    }
+  }
+}
+
+/// A system whose last chain is the target and whose long-run load
+/// (every chain's total WCET times its tail rate) lies in (1, 1.001].
+struct NearUnitOverload {
+  System system;
+  bool all_below = true;     ///< every curve drawn below its rate line
+  bool interleaved = false;  ///< random priorities (deferred rows possible)
+};
+
+NearUnitOverload near_unit_overload(std::mt19937_64& rng, int index) {
+  const auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  const int chains = pick(3, 5);
+  const bool interleaved = pick(0, 2) == 0;  // random priorities: deferred rows
+  std::vector<RandomCurve> curves;
+  std::vector<int> sizes;
+  int task_count = 0;
+  bool all_below = true;
+  for (int c = 0; c < chains; ++c) {
+    curves.push_back(random_curve(rng));
+    all_below = all_below && curves.back().below;
+    sizes.push_back(pick(1, 3));
+    task_count += sizes.back();
+  }
+  // Rank r (1 = lowest) maps to priority prios[r - 1]: the identity, or
+  // a random permutation when interleaved.
+  std::vector<Priority> prios(static_cast<std::size_t>(task_count));
+  for (int i = 0; i < task_count; ++i) prios[static_cast<std::size_t>(i)] = i + 1;
+  if (interleaved) std::shuffle(prios.begin(), prios.end(), rng);
+  // WCETs: split a load in [1.0002, 1.0009] by random weights, floor,
+  // then bump the slowest-rate chain until the load clears 1.0001.
+  const double target_load = std::uniform_real_distribution<double>(1.0002, 1.0009)(rng);
+  std::vector<double> weights;
+  double weight_sum = 0;
+  for (int c = 0; c < chains; ++c) {
+    weights.push_back(std::uniform_real_distribution<double>(0.2, 1.0)(rng));
+    weight_sum += weights.back();
+  }
+  std::vector<std::vector<Time>> wcets(static_cast<std::size_t>(chains));
+  long double load = 0;
+  int slowest = 0;
+  for (int c = 0; c < chains; ++c) {
+    const RandomCurve& curve = curves[static_cast<std::size_t>(c)];
+    const auto size = static_cast<std::size_t>(sizes[static_cast<std::size_t>(c)]);
+    const auto total = static_cast<Time>(target_load * weights[static_cast<std::size_t>(c)] /
+                                         weight_sum / curve.rate);
+    for (std::size_t t = 0; t < size; ++t) {
+      wcets[static_cast<std::size_t>(c)].push_back(
+          std::max<Time>(1, total / static_cast<Time>(size)));
+    }
+    for (Time w : wcets[static_cast<std::size_t>(c)]) load += w * static_cast<long double>(curve.rate);
+    if (curve.rate < curves[static_cast<std::size_t>(slowest)].rate) slowest = c;
+  }
+  while (load <= 1.0001L) {
+    ++wcets[static_cast<std::size_t>(slowest)].front();
+    load += curves[static_cast<std::size_t>(slowest)].rate;
+  }
+  EXPECT_LE(load, 1.001L);
+  // Ranks: chain 0 (the target) lowest; within a chain the header ranks
+  // above the tail, so an async target has a self header.
+  std::vector<Chain> built;
+  int rank_base = 0;
+  for (int c = 0; c < chains; ++c) {
+    std::vector<Task> tasks;
+    const std::vector<Time>& costs = wcets[static_cast<std::size_t>(c)];
+    for (std::size_t t = 0; t < costs.size(); ++t) {
+      const auto rank = rank_base + static_cast<int>(costs.size() - t);
+      tasks.push_back(Task{"t" + std::to_string(rank), prios[static_cast<std::size_t>(rank - 1)],
+                           costs[t]});
+    }
+    rank_base += static_cast<int>(costs.size());
+    const ChainKind kind = pick(0, 1) == 0 ? ChainKind::kSynchronous : ChainKind::kAsynchronous;
+    built.emplace_back(chain_spec("c" + std::to_string(c), curves[static_cast<std::size_t>(c)].model,
+                                  std::move(tasks), kind));
+  }
+  std::reverse(built.begin(), built.end());  // the target comes last
+  return {System("near_unit" + std::to_string(index), std::move(built)), all_below, interleaved};
+}
+
+TEST(LoadCertificate, RandomizedDifferentialAgainstUncertifiedSearch) {
+  std::mt19937_64 rng(19);
+  AnalysisOptions options;
+  options.max_busy_windows = 10'000;
+  int certified_count = 0;
+  for (int round = 0; round < 60; ++round) {
+    const NearUnitOverload draw = near_unit_overload(rng, round);
+    const System& sys = draw.system;
+    const int target = sys.size() - 1;
+    // Exclusions and the naive ablation change which rows enter Eq. (1),
+    // and so the load the certificate sees.
+    std::vector<int> exclude;
+    if (round % 4 == 1) exclude.push_back(static_cast<int>(rng() % static_cast<unsigned>(target)));
+    options.naive_arbitrary = round % 4 == 2;
+    // Every row then carries its whole WCET at a rate the certificate
+    // may use, so the full load enters the sum.
+    const bool must_fire =
+        draw.all_below && exclude.empty() && (!draw.interleaved || options.naive_arbitrary);
+    const LatencyResult flat = latency_analysis(sys, target, options, exclude);
+    const LatencyResult ref = reference::latency_analysis(sys, target, options, exclude);
+    SCOPED_TRACE("round " + std::to_string(round) + " reason " + flat.reason);
+    if (certified(flat)) {
+      ++certified_count;
+      EXPECT_FALSE(ref.bounded) << ref.reason;
+      continue;
+    }
+    EXPECT_FALSE(must_fire) << "certificate missed a provable overload";
+    EXPECT_EQ(flat.bounded, ref.bounded);
+    EXPECT_EQ(flat.reason, ref.reason);
+    EXPECT_EQ(flat.K, ref.K);
+    EXPECT_EQ(flat.busy_times, ref.busy_times);
+    EXPECT_EQ(flat.wcl, ref.wcl);
+    EXPECT_EQ(flat.misses_per_window, ref.misses_per_window);
+  }
+  // Not vacuous: the certificate fired often, and the search still ran
+  // for the systems it cannot certify.
+  EXPECT_GE(certified_count, 15);
+  EXPECT_LT(certified_count, 60);
+}
+
+TEST(LoadCertificate, CurveAboveItsRateLineIsNotCertified) {
+  // curve(150; 100): long-run rate 1/100, but delta_minus(2) = 150 lies
+  // above the line (q-1) * 100.  Loads 0.6 + 0.5: overloaded, but only
+  // the search may say so.
+  for (const bool target_above : {false, true}) {
+    const ArrivalModelPtr above = delta_curve({150}, 100);
+    System sys("above",
+               {Chain(chain_spec("x", target_above ? periodic(100) : above, {Task{"x1", 2, 50}})),
+                Chain(chain_spec("y", target_above ? above : periodic(100), {Task{"y1", 1, 60}}))});
+    AnalysisOptions options;
+    options.max_busy_windows = 2'000;
+    const LatencyResult r = latency_analysis(sys, 1, options);
+    EXPECT_FALSE(r.bounded);
+    EXPECT_FALSE(certified(r)) << r.reason;
+    EXPECT_FALSE(r.busy_times.empty());
+  }
+}
+
+TEST(LoadCertificate, Int128OverflowFallsThroughToTheSearch) {
+  // Six sporadic chains with pairwise coprime spans near 1e9: the exact
+  // sum's denominator passes 2^127 at the fifth term, while the partial
+  // load (~0.81) is still below 1.  Total load ~1.15.
+  const Time primes[6] = {999'999'937, 999'999'929, 999'999'893,
+                          999'999'883, 999'999'797, 999'999'761};
+  std::vector<Chain> chains;
+  for (int i = 0; i < 6; ++i) {
+    const Time wcet = i == 5 ? primes[i] * 3 / 10 : primes[i] * 17 / 100;
+    chains.emplace_back(chain_spec("s" + std::to_string(i), sporadic(primes[i]),
+                                   {Task{"t" + std::to_string(i), 6 - i, wcet}}));
+  }
+  const System sys("coprime", std::move(chains));
+  AnalysisOptions options;
+  options.max_busy_windows = 200;
+  const LatencyResult r = latency_analysis(sys, 5, options);
+  EXPECT_FALSE(r.bounded);
+  EXPECT_FALSE(certified(r)) << r.reason;
+
+  // The same loads over small spans fit in 128 bits and are certified.
+  std::vector<Chain> small;
+  for (int i = 0; i < 6; ++i) {
+    small.emplace_back(chain_spec("s" + std::to_string(i), sporadic(100),
+                                  {Task{"t" + std::to_string(i), 6 - i, i == 5 ? 30 : 17}}));
+  }
+  const LatencyResult fits = latency_analysis(System("small", std::move(small)), 5, options);
+  EXPECT_TRUE(certified(fits)) << fits.reason;
+  EXPECT_EQ(fits.reason.rfind("long-run load 23/20 ", 0), 0u) << fits.reason;
+}
+
+TEST(LoadCertificate, AsyncSelfHeaderTargetIsCertified) {
+  // The async chain of AsynchronousSelfInterference (U = 1.2, header
+  // C = 6 ahead of its lowest-priority task): the self term is dropped
+  // from the certificate's lower bound, which still exceeds 1.
+  System alone("async", {Chain(chain_spec("async", periodic(10), {Task{"h", 2, 6}, Task{"t", 1, 6}},
+                                          ChainKind::kAsynchronous))});
+  AnalysisOptions options;
+  options.max_busy_windows = 10'000;
+  const LatencyResult r = latency_analysis(alone, 0, options);
+  EXPECT_TRUE(certified(r)) << r.reason;
+  EXPECT_EQ(r.reason.rfind("long-run load 6/5 ", 0), 0u) << r.reason;
+  EXPECT_FALSE(reference::latency_analysis(alone, 0, options).bounded);
+
+  // With an interferer, at a load just above 1 (0.55 + 0.4501), and just
+  // below it (0.55 + 0.4499), where the answer must match the reference.
+  for (const Time wcet : {Time{4'501}, Time{4'499}}) {
+    System sys("async2", {Chain(chain_spec("hi", periodic(10'000), {Task{"hi1", 9, wcet}})),
+                          Chain(chain_spec("b", periodic(20), {Task{"h", 3, 6}, Task{"t", 1, 5}},
+                                           ChainKind::kAsynchronous))});
+    const LatencyResult flat = latency_analysis(sys, 1, options);
+    const LatencyResult ref = reference::latency_analysis(sys, 1, options);
+    EXPECT_EQ(certified(flat), wcet == 4'501) << flat.reason;
+    EXPECT_EQ(flat.bounded, ref.bounded);
+    if (!certified(flat)) {
+      EXPECT_EQ(flat.busy_times, ref.busy_times);
+      EXPECT_EQ(flat.wcl, ref.wcl);
+    }
+  }
 }
 
 }  // namespace

@@ -532,11 +532,20 @@ TEST(Cli, UnknownOptionIsAUsageError) {
 
 TEST(Cli, HelpWorksOnEverySubcommand) {
   for (const char* command :
-       {"analyze", "dmm", "path", "simulate", "search", "sweep", "serve", "validate"}) {
+       {"analyze", "dmm", "path", "simulate", "search", "serve", "validate"}) {
     const CliRun r = invoke({command, "--help"});
     EXPECT_EQ(r.exit_code, 0) << command;
     EXPECT_NE(r.out.find("usage:"), std::string::npos) << command;
   }
+}
+
+TEST(Cli, SweepIsNoLongerACommand) {
+  // The distributed sweep is gone; `search --jobs N` scores the same
+  // candidates in process.
+  const CliRun r = invoke({"sweep", "-"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("unknown command 'sweep'"), std::string::npos) << r.err;
+  EXPECT_EQ(invoke({"help"}).out.find("sweep"), std::string::npos);
 }
 
 TEST(Cli, HelpDocumentsServeExitCodes) {

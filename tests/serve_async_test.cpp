@@ -408,6 +408,47 @@ TEST(ServeAsync, DeadlineExpiresWhileQueuedBehindHeavyRequests) {
 }
 
 // ---------------------------------------------------------------------
+// Hostile caps: an overloaded system answers at once, whatever the cap
+// ---------------------------------------------------------------------
+
+TEST(ServeAsync, OverloadedSystemWithHugeBusyWindowCapAnswersAtOnce) {
+  // Regular load 0.99 plus the overload chain's 0.02: the with-overload
+  // busy window of `c` never closes.  A K_b search walking to the
+  // requested 50M cap would take minutes and gigabytes; the long-run
+  // load certificate answers before the first window.
+  const std::string system =
+      "system hostile\n"
+      "chain a kind=sync activation=periodic(100) deadline=100\n"
+      "  task a1 prio=6 wcet=33\n"
+      "chain b kind=sync activation=periodic(100) deadline=100\n"
+      "  task b1 prio=4 wcet=33\n"
+      "chain c kind=sync activation=periodic(100) deadline=100\n"
+      "  task c1 prio=2 wcet=33\n"
+      "chain ov kind=sync activation=sporadic(1000) overload\n"
+      "  task o1 prio=7 wcet=20\n";
+  Engine engine;
+  AsyncHarness server(engine, {});
+  Client client(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  client.send_line(util::cat(R"({"id":1,"type":"open_session","session":"h","system":")",
+                             io::json_escape(system),
+                             R"(","options":{"max_busy_windows":50000000}})"));
+  ASSERT_NE(client.recv_line().find(R"("status":"ok")"), std::string::npos);
+  client.send_line(
+      R"({"id":2,"type":"query","session":"h","queries":[{"kind":"latency","chain":"c"}]})");
+  const std::string reply = client.recv_line();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(reply.find(R"("bounded":false)"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("long-run load"), std::string::npos) << reply;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+
+  client.send_line(R"({"type":"shutdown"})");
+  (void)client.recv_line();
+  client.close();
+  EXPECT_TRUE(server.join()) << server.err();
+}
+
+// ---------------------------------------------------------------------
 // Flat threads: many slow connections, fixed reactor + pool
 // ---------------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 // virtual eta/delta dispatch per call and a cold-started Kleene
 // iteration per q.  tests/arrival_table_test.cpp and
 // bench/core_solver.cpp compare the flat kernel against these functions
-// field by field, and CI gates on the comparison.  Correct but slow; not
+// field by field, and CI gates on the comparison.  It has no long-run
+// load certificate, so tests/busy_window_test.cpp checks every
+// certified answer against its capped search.  Correct but slow; not
 // for production use.
 
 #ifndef WHARF_TESTS_SUPPORT_BUSY_WINDOW_REFERENCE_HPP

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cli/serve.hpp"
-#include "dist/client.hpp"
 #include "engine/engine.hpp"
 #include "io/json.hpp"
 #include "io/wire.hpp"
@@ -445,102 +444,6 @@ TEST(WireTcp, ListenerServesAConversationAndShutsDown) {
   EXPECT_NE(lines[1].find(R"("report":{"system":"t")"), std::string::npos);
   EXPECT_NE(lines[1].find(R"("dmm":0)"), std::string::npos);
   EXPECT_NE(lines[2].find(R"("type":"shutdown","status":"ok")"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Evaluate requests (the distributed sweep's wire surface)
-// ---------------------------------------------------------------------
-
-TEST(WireRequests, ParsesEvaluateShardUnits) {
-  const Expected<WireRequest> r = parse_request(
-      R"({"id":4,"type":"evaluate","session":"s","unit":9,"k":7,)"
-      R"("candidates":[[1,2,3],[3,2,1]]})");
-  ASSERT_TRUE(r) << r.status().to_string();
-  EXPECT_EQ(r.value().kind, WireKind::kEvaluate);
-  EXPECT_EQ(r.value().unit, 9u);
-  EXPECT_EQ(r.value().eval_k, 7);
-  ASSERT_EQ(r.value().candidates.size(), 2u);
-  EXPECT_EQ(r.value().candidates[1], (std::vector<Priority>{3, 2, 1}));
-
-  // k is optional (the serve-side default applies); the rest is not.
-  const Expected<WireRequest> no_k =
-      parse_request(R"({"type":"evaluate","session":"s","unit":0,"candidates":[[1]]})");
-  ASSERT_TRUE(no_k) << no_k.status().to_string();
-  EXPECT_FALSE(parse_request(R"({"type":"evaluate","session":"s","unit":-1,"candidates":[[1]]})")
-                   .has_value());
-  EXPECT_FALSE(
-      parse_request(R"({"type":"evaluate","session":"s","unit":1,"candidates":[]})").has_value());
-  EXPECT_FALSE(parse_request(R"({"type":"evaluate","session":"s","unit":1,"k":0,)"
-                             R"("candidates":[[1]]})")
-                   .has_value());
-}
-
-// ---------------------------------------------------------------------
-// Error envelopes through the coordinator's worker transport
-// ---------------------------------------------------------------------
-
-// The sweep coordinator's client pool (dist::WorkerLink) against a real
-// spawned `wharf serve` worker: every way a request can go wrong must
-// come back as a structured envelope on the same stream — never a
-// closed connection or a desynchronized protocol.
-TEST(WireWorkerPool, ErrorEnvelopesFlowThroughTheCoordinatorTransport) {
-  wharf::dist::WorkerSpec spec;
-  spec.binary = WHARF_BINARY_PATH;
-  Expected<wharf::dist::WorkerLink> opened = wharf::dist::WorkerLink::open(spec);
-  ASSERT_TRUE(opened) << opened.status().to_string();
-  wharf::dist::WorkerLink worker = std::move(opened.value());
-
-  // An unknown request type is a protocol error envelope.
-  ASSERT_TRUE(worker.send_line(R"({"id":1,"type":"frobnicate"})"));
-  Expected<std::string> unknown = worker.read_line(20000);
-  ASSERT_TRUE(unknown) << unknown.status().to_string();
-  EXPECT_NE(unknown.value().find(R"("type":"error")"), std::string::npos) << unknown.value();
-  EXPECT_NE(unknown.value().find("unknown request type"), std::string::npos) << unknown.value();
-
-  const std::string system_text =
-      "system t\nchain a kind=sync activation=periodic(100) deadline=90\n"
-      "  task a1 prio=1 wcet=10\n  task a2 prio=2 wcet=10\n";
-  ASSERT_TRUE(worker.send_line(
-      util::cat(R"({"id":2,"type":"open_session","session":"s","system":")",
-                json_escape(system_text), R"("})")));
-  Expected<std::string> ack = worker.read_line(20000);
-  ASSERT_TRUE(ack) << ack.status().to_string();
-  EXPECT_NE(ack.value().find(R"("status":"ok")"), std::string::npos) << ack.value();
-
-  // A malformed shard unit — a candidate whose arity does not match the
-  // session's task count — is an evaluate error envelope, request id
-  // preserved (that attribution is what lets the coordinator re-issue
-  // the unit elsewhere).
-  ASSERT_TRUE(worker.send_line(
-      R"({"id":3,"type":"evaluate","session":"s","unit":1,"k":5,"candidates":[[1]]})"));
-  Expected<std::string> malformed = worker.read_line(20000);
-  ASSERT_TRUE(malformed) << malformed.status().to_string();
-  EXPECT_NE(malformed.value().find(R"("id":3)"), std::string::npos) << malformed.value();
-  EXPECT_NE(malformed.value().find(R"("type":"evaluate")"), std::string::npos)
-      << malformed.value();
-  EXPECT_EQ(malformed.value().find(R"("status":"ok")"), std::string::npos) << malformed.value();
-
-  // An oversized request line is answered with the bound-naming error
-  // envelope...
-  ASSERT_TRUE(worker.send_line(std::string(kMaxWireLineBytes + 16, 'x')));
-  Expected<std::string> oversized = worker.read_line(20000);
-  ASSERT_TRUE(oversized) << oversized.status().to_string();
-  EXPECT_NE(oversized.value().find(R"("type":"error")"), std::string::npos)
-      << oversized.value();
-  EXPECT_NE(oversized.value().find("protocol bound"), std::string::npos) << oversized.value();
-
-  // ...and the stream stays in sync: the next well-formed unit scores
-  // normally on the same connection.
-  ASSERT_TRUE(worker.send_line(
-      R"({"id":4,"type":"evaluate","session":"s","unit":2,"k":5,"candidates":[[2,1]]})"));
-  Expected<std::string> scored = worker.read_line(20000);
-  ASSERT_TRUE(scored) << scored.status().to_string();
-  EXPECT_NE(scored.value().find(R"("status":"ok")"), std::string::npos) << scored.value();
-  EXPECT_NE(scored.value().find(R"("unit":2)"), std::string::npos) << scored.value();
-  EXPECT_NE(scored.value().find(R"("objectives":[)"), std::string::npos) << scored.value();
-
-  worker.close_fd();
-  worker.reap(/*grace_ms=*/5000);
 }
 
 }  // namespace
