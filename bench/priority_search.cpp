@@ -247,7 +247,10 @@ void BM_EvaluateAssignment(benchmark::State& state) {
   const System sys = date17_case_study(OverloadModel::kRareOverload);
   const search::EvaluationSpec spec{10, {}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(search::evaluate_assignment(sys, spec));
+    // One cold score: a fresh store and evaluator per iteration.
+    ArtifactStore store;
+    search::PipelineEvaluator evaluator(sys, spec, {}, store);
+    benchmark::DoNotOptimize(evaluator.evaluate(sys.flat_priorities()));
   }
 }
 BENCHMARK(BM_EvaluateAssignment);

@@ -69,7 +69,7 @@ int main() {
                    "max misses in 10 (sim)", "dmm(10) (analysis)"});
   for (int c : {kSigmaD, kSigmaC}) {
     const sim::ChainResult& cr = run.chains[static_cast<std::size_t>(c)];
-    const LatencyResult& lat = analyzer.latency(c);
+    const LatencyResult lat = analyzer.latency(c);
     const DmmResult dmm = analyzer.dmm(c, 10);
     v.add_row({system.chain(c).name(), util::cat(cr.completed), util::cat(cr.max_latency),
                util::cat(lat.wcl), util::cat(cr.miss_count),

@@ -25,14 +25,17 @@ struct DmmBreakpoint {
 
 /// All breakpoints of k -> dmm(k) for k in [1, k_max]: the first entry is
 /// k=1; every further entry is the smallest k where the value increases.
-/// Uses binary search between steps (O(steps * log k_max) dmm queries).
+/// Uses binary search between steps (O(steps * log k_max) dmm queries);
+/// the k-independent stages are built once per call, so each query runs
+/// only the k-dependent step of Theorem 3.
 [[nodiscard]] std::vector<DmmBreakpoint> dmm_breakpoints(const TwcaAnalyzer& analyzer, int chain,
                                                          Count k_max);
 
 /// The weakly-hard (m,k) frontier: the largest k in [1, k_max] such that
 /// dmm(k) <= m, or 0 when even dmm(1) > m.  A chain satisfying the
 /// returned horizon misses at most m deadlines in any window of that
-/// many activations.
+/// many activations.  Builds the k-independent stages once, like
+/// dmm_breakpoints.
 [[nodiscard]] Count max_window_for_misses(const TwcaAnalyzer& analyzer, int chain, Count m,
                                           Count k_max);
 

@@ -95,8 +95,10 @@ void validate_path(const System& system, const PathSpec& path);
 /// oracle.
 class PathAnalyzer {
  public:
+  /// Analyzes paths of `system` under `options`.
   explicit PathAnalyzer(System system, TwcaOptions options = {});
 
+  /// The analyzed system.
   [[nodiscard]] const System& system() const { return system_; }
 
   /// WCL_path <= Σ WCL_i (unbounded when any chain is).

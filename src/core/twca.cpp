@@ -1,9 +1,7 @@
 #include "core/twca.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
-#include <optional>
+#include <utility>
 
 #include "ilp/packing.hpp"
 #include "util/expect.hpp"
@@ -178,108 +176,45 @@ DmmResult dmm_from_artifacts(const System& system, int target, const LatencyResu
 // TwcaAnalyzer
 // ---------------------------------------------------------------------
 
-struct TwcaAnalyzer::Impl {
-  System system;
-  TwcaOptions options;
-  mutable std::vector<std::optional<InterferenceContext>> context_cache;
-  mutable std::vector<std::optional<LatencyResult>> latency_cache;
-  mutable std::vector<std::optional<LatencyResult>> typical_latency_cache;
-  mutable std::vector<std::optional<TargetArtifacts>> artifact_cache;
-  /// One lock per chain: the public methods hold the target chain's lock
-  /// for the whole query, so concurrent queries on *different* chains of
-  /// one analyzer run in parallel while each chain's cache slots stay
-  /// write-once.  Returned references remain valid after unlocking
-  /// because engaged slots are never reassigned and the vectors are
-  /// never resized.
-  mutable std::unique_ptr<std::mutex[]> chain_locks;
-
-  Impl(System sys, TwcaOptions opts) : system(std::move(sys)), options(opts) {
-    const auto n = static_cast<std::size_t>(system.size());
-    context_cache.resize(n);
-    latency_cache.resize(n);
-    typical_latency_cache.resize(n);
-    artifact_cache.resize(n);
-    chain_locks = std::make_unique<std::mutex[]>(n);
-  }
-
-  std::unique_lock<std::mutex> lock_chain(int chain) const {
-    return std::unique_lock<std::mutex>(chain_locks[static_cast<std::size_t>(chain)]);
-  }
-
-  const InterferenceContext& context(int chain) const {
-    auto& slot = context_cache[static_cast<std::size_t>(chain)];
-    if (!slot.has_value()) slot = make_interference_context(system, chain);
-    return *slot;
-  }
-
-  const LatencyResult& latency(int chain) const {
-    auto& slot = latency_cache[static_cast<std::size_t>(chain)];
-    if (!slot.has_value()) slot = latency_analysis(system, context(chain), options.analysis);
-    return *slot;
-  }
-
-  const LatencyResult& latency_without_overload(int chain) const {
-    auto& slot = typical_latency_cache[static_cast<std::size_t>(chain)];
-    if (!slot.has_value()) {
-      slot = latency_analysis(system, context(chain), options.analysis,
-                              system.overload_indices());
-    }
-    return *slot;
-  }
-
-  /// Builds (and caches) everything about chain `b` that Theorem 3 needs
-  /// and that does not depend on k.
-  const TargetArtifacts& artifacts(int b) const {
-    auto& slot = artifact_cache[static_cast<std::size_t>(b)];
-    if (!slot.has_value()) {
-      slot = build_target_artifacts(system, b, context(b), latency(b), options);
-    }
-    return *slot;
-  }
-};
-
 TwcaAnalyzer::TwcaAnalyzer(System system, TwcaOptions options)
-    : impl_(std::make_unique<Impl>(std::move(system), options)) {}
+    : system_(std::move(system)), options_(options) {}
 
-TwcaAnalyzer::~TwcaAnalyzer() = default;
-TwcaAnalyzer::TwcaAnalyzer(TwcaAnalyzer&&) noexcept = default;
-TwcaAnalyzer& TwcaAnalyzer::operator=(TwcaAnalyzer&&) noexcept = default;
-
-const System& TwcaAnalyzer::system() const { return impl_->system; }
-const TwcaOptions& TwcaAnalyzer::options() const { return impl_->options; }
-
-const LatencyResult& TwcaAnalyzer::latency(int chain) const {
-  WHARF_EXPECT(chain >= 0 && chain < impl_->system.size(),
-               "chain index " << chain << " out of range [0, " << impl_->system.size() << ")");
-  const auto lock = impl_->lock_chain(chain);
-  return impl_->latency(chain);
+LatencyResult TwcaAnalyzer::latency(int chain) const {
+  WHARF_EXPECT(chain >= 0 && chain < system_.size(),
+               "chain index " << chain << " out of range [0, " << system_.size() << ")");
+  return latency_analysis(system_, make_interference_context(system_, chain), options_.analysis);
 }
 
-const LatencyResult& TwcaAnalyzer::latency_without_overload(int chain) const {
-  WHARF_EXPECT(chain >= 0 && chain < impl_->system.size(),
-               "chain index " << chain << " out of range [0, " << impl_->system.size() << ")");
-  const auto lock = impl_->lock_chain(chain);
-  return impl_->latency_without_overload(chain);
+LatencyResult TwcaAnalyzer::latency_without_overload(int chain) const {
+  WHARF_EXPECT(chain >= 0 && chain < system_.size(),
+               "chain index " << chain << " out of range [0, " << system_.size() << ")");
+  return latency_analysis(system_, make_interference_context(system_, chain),
+                          options_.analysis, system_.overload_indices());
 }
 
-DmmResult TwcaAnalyzer::dmm(int b, Count k) const {
-  WHARF_EXPECT(k >= 1, "dmm requires k >= 1, got " << k);
-  const System& system = impl_->system;
-  WHARF_EXPECT(b >= 0 && b < system.size(),
-               "chain index " << b << " out of range [0, " << system.size() << ")");
-  WHARF_EXPECT(!system.chain(b).is_overload(),
-               "DMM target '" << system.chain(b).name() << "' must not be an overload chain");
+DmmResult TwcaAnalyzer::dmm(int b, Count k) const { return dmm_curve(b, {k}).front(); }
 
-  const auto lock = impl_->lock_chain(b);
-  const LatencyResult& latency = impl_->latency(b);
-  const TargetArtifacts& artifacts = impl_->artifacts(b);
-  return dmm_from_artifacts(system, b, latency, artifacts, k, impl_->options);
+DmmStages TwcaAnalyzer::dmm_stages(int b) const {
+  WHARF_EXPECT(b >= 0 && b < system_.size(),
+               "chain index " << b << " out of range [0, " << system_.size() << ")");
+  WHARF_EXPECT(!system_.chain(b).is_overload(),
+               "DMM target '" << system_.chain(b).name() << "' must not be an overload chain");
+  const InterferenceContext context = make_interference_context(system_, b);
+  DmmStages stages;
+  stages.latency = latency_analysis(system_, context, options_.analysis);
+  stages.artifacts = build_target_artifacts(system_, b, context, stages.latency, options_);
+  return stages;
 }
 
-std::vector<DmmResult> TwcaAnalyzer::dmm_curve(int chain, const std::vector<Count>& ks) const {
+std::vector<DmmResult> TwcaAnalyzer::dmm_curve(int b, const std::vector<Count>& ks) const {
   std::vector<DmmResult> out;
+  if (ks.empty()) return out;
+  for (Count k : ks) WHARF_EXPECT(k >= 1, "dmm requires k >= 1, got " << k);
+  const DmmStages stages = dmm_stages(b);
   out.reserve(ks.size());
-  for (Count k : ks) out.push_back(dmm(chain, k));
+  for (Count k : ks) {
+    out.push_back(dmm_from_artifacts(system_, b, stages.latency, stages.artifacts, k, options_));
+  }
   return out;
 }
 

@@ -7,7 +7,6 @@
 #define WHARF_CORE_TWCA_HPP
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,7 +93,7 @@ struct DmmResult {
 // expose each boundary so callers that cache artifacts at a finer grain
 // than "one analyzer per system" (wharf::Engine's ArtifactStore) can
 // inject upstream results and intercept the packing solve.  TwcaAnalyzer
-// remains the convenient per-system façade over the same functions.
+// is the stateless per-system façade over the same functions.
 
 /// Injectable solver for the Theorem-3 packing step.  The default (an
 /// empty function) picks solve_packing_ilp / solve_packing_dfs per
@@ -136,40 +135,53 @@ struct TargetArtifacts {
                                            const TwcaOptions& options,
                                            const PackingSolver& solver = {});
 
-/// Façade bundling latency analysis and DMM computation with caching of
-/// the per-chain artefacts that do not depend on k (interference context,
-/// K/WCL/N_b, slack, active segments, unschedulable combinations).
+/// The k-independent stages of one target's dmm curve: its full latency
+/// result and its Theorem-3 artifacts.  dmm_from_artifacts over them
+/// answers any k.
+struct DmmStages {
+  LatencyResult latency;       ///< Theorem 2, all chains interfering
+  TargetArtifacts artifacts;   ///< build_target_artifacts over `latency`
+};
+
+/// Stateless façade over the stage functions above: the reference
+/// analysis of one system.  Every call recomputes from the system (no
+/// cache, no lock), so an analyzer may be shared across threads and its
+/// answers are independent of the Engine's artifact pipeline they check.
 class TwcaAnalyzer {
  public:
+  /// Analyzes `system` under `options`.
   explicit TwcaAnalyzer(System system, TwcaOptions options = {});
-  ~TwcaAnalyzer();
 
-  TwcaAnalyzer(TwcaAnalyzer&&) noexcept;
-  TwcaAnalyzer& operator=(TwcaAnalyzer&&) noexcept;
+  /// The analyzed system.
+  [[nodiscard]] const System& system() const { return system_; }
+  /// The analysis options.
+  [[nodiscard]] const TwcaOptions& options() const { return options_; }
 
-  [[nodiscard]] const System& system() const;
-  [[nodiscard]] const TwcaOptions& options() const;
-
-  /// Full latency analysis (Theorem 2), cached per chain.
-  [[nodiscard]] const LatencyResult& latency(int chain) const;
+  /// Full latency analysis (Theorem 2).
+  [[nodiscard]] LatencyResult latency(int chain) const;
 
   /// Latency analysis with all overload chains abstracted away (the
-  /// paper's "second analysis" in Experiment 1), cached per chain.
-  [[nodiscard]] const LatencyResult& latency_without_overload(int chain) const;
+  /// paper's "second analysis" in Experiment 1).
+  [[nodiscard]] LatencyResult latency_without_overload(int chain) const;
 
   /// dmm_chain(k) per Theorem 3.  The chain must have a deadline and must
   /// not itself be an overload chain.
   [[nodiscard]] DmmResult dmm(int chain, Count k) const;
 
-  /// Batch helper: dmm for several k values (shares all per-chain work).
+  /// Builds the k-independent stages of `chain`'s dmm curve, with the
+  /// argument checks of dmm() other than k's.
+  [[nodiscard]] DmmStages dmm_stages(int chain) const;
+
+  /// dmm for several k values: builds the k-independent stages once and
+  /// runs only the k-dependent step per k.
   [[nodiscard]] std::vector<DmmResult> dmm_curve(int chain, const std::vector<Count>& ks) const;
 
   /// Weakly-hard (m,k) verification: true iff dmm(k) <= m.
   [[nodiscard]] bool satisfies_weakly_hard(int chain, Count m, Count k) const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  System system_;
+  TwcaOptions options_;
 };
 
 }  // namespace wharf

@@ -169,15 +169,4 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   return out;
 }
 
-void ArtifactStore::clear() {
-  const util::MutexLock guard(mutex_);
-  entries_.clear();
-  recency_.clear();
-  resident_bytes_ = 0;
-  for (StageStats& s : stage_stats_) {
-    s.resident_entries = 0;
-    s.resident_bytes = 0;
-  }
-}
-
 }  // namespace wharf

@@ -171,9 +171,6 @@ class ArtifactStore {
   /// while any resident key holds it.
   [[nodiscard]] KeyInterner& interner() { return interner_; }
 
-  /// Drops every artifact (counters other than residency are kept).
-  void clear() WHARF_EXCLUDES(mutex_);
-
  private:
   struct Entry {
     std::shared_ptr<const void> value;

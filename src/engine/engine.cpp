@@ -7,9 +7,7 @@
 
 #include "engine/session.hpp"
 #include "io/json.hpp"
-#include "util/mutex.hpp"
 #include "util/strings.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/worker_pool.hpp"
 
 namespace wharf {
@@ -88,22 +86,7 @@ struct Engine::Impl {
   EngineOptions options;
   ArtifactStore store;
 
-  /// Engine-lifetime lookup totals, accumulated from per-request
-  /// diagnostics after every served request.
-  util::Mutex totals_mutex;
-  std::size_t total_hits WHARF_GUARDED_BY(totals_mutex) = 0;
-  std::size_t total_misses WHARF_GUARDED_BY(totals_mutex) = 0;
-  std::size_t total_shared WHARF_GUARDED_BY(totals_mutex) = 0;
-
   explicit Impl(EngineOptions opts) : options(opts), store(options.cache_bytes) {}
-
-  /// Folds one served report into the engine-lifetime totals.
-  void accumulate(const AnalysisReport& report) WHARF_EXCLUDES(totals_mutex) {
-    const util::MutexLock guard(totals_mutex);
-    total_hits += report.diagnostics.cache_hits + report.diagnostics.search_hits;
-    total_misses += report.diagnostics.cache_misses + report.diagnostics.search_misses;
-    total_shared += report.diagnostics.cache_shared + report.diagnostics.search_shared;
-  }
 };
 
 Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>(options)) {}
@@ -120,9 +103,7 @@ Session Engine::open_session(System system, TwcaOptions options) {
 AnalysisReport Engine::run(const AnalysisRequest& request) {
   // One-shot adapter: an ephemeral session serves the whole request.
   Session session(request.system, request.options, impl_->store, impl_->options.jobs);
-  AnalysisReport report = session.serve(request.queries);
-  impl_->accumulate(report);
-  return report;
+  return session.serve(request.queries);
 }
 
 std::vector<AnalysisReport> Engine::run_batch(const std::vector<AnalysisRequest>& requests) {
@@ -159,27 +140,11 @@ std::vector<AnalysisReport> Engine::run_batch(const std::vector<AnalysisRequest>
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     reports[i] = sessions[i].collect(std::move(results[i]));
-    impl_->accumulate(reports[i]);
   }
   return reports;
 }
 
-Engine::CacheStats Engine::cache_stats() const {
-  const ArtifactStore::Stats stats = impl_->store.stats();
-  Engine::CacheStats out;
-  out.evictions = stats.evictions;
-  out.entries = stats.resident_entries;
-  out.resident_bytes = stats.resident_bytes;
-  const util::MutexLock guard(impl_->totals_mutex);
-  out.hits = impl_->total_hits;
-  out.misses = impl_->total_misses;
-  out.shared = impl_->total_shared;
-  return out;
-}
-
 ArtifactStore::Stats Engine::store_stats() const { return impl_->store.stats(); }
-
-void Engine::clear_cache() { impl_->store.clear(); }
 
 // ---------------------------------------------------------------------
 // JSON serialization

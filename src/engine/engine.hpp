@@ -22,13 +22,12 @@
 ///    weight (EngineOptions::cache_bytes).  Near-identical systems — a
 ///    design-space sweep mutating one chain at a time — share every
 ///    artifact the mutation does not touch.  Effectiveness is
-///    observable per stage via ReportDiagnostics / cache_stats() /
-///    store_stats().
+///    observable per stage via ReportDiagnostics / store_stats().
 ///
 /// The Engine runs the core stage functions (core/twca.hpp) through
-/// engine/pipeline.hpp; it does not use TwcaAnalyzer, which stays as the
-/// standalone single-system analyzer for code that wants lower-level
-/// control (ablation studies, custom loops).
+/// engine/pipeline.hpp; it does not use TwcaAnalyzer, the stateless
+/// reference analyzer it is checked against, which also serves code that
+/// wants lower-level control (ablation studies, custom loops).
 
 #ifndef WHARF_ENGINE_ENGINE_HPP
 #define WHARF_ENGINE_ENGINE_HPP
@@ -342,27 +341,9 @@ class Engine {
   [[nodiscard]] std::vector<AnalysisReport> run_batch(
       const std::vector<AnalysisRequest>& requests);
 
-  /// Engine-lifetime artifact-store counters, summed over stages
-  /// (search-evaluator lookups included).
-  struct CacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t shared = 0;  ///< single-flight joins (work saved, not resident)
-    std::size_t evictions = 0;
-    std::size_t entries = 0;        ///< current resident artifacts
-    std::size_t resident_bytes = 0; ///< current resident weight
-  };
-  /// Lifetime hit/miss/shared totals plus current residency.  Thread-safe.
-  [[nodiscard]] CacheStats cache_stats() const;
-
   /// Full per-stage store statistics (insertions, evictions, admission
   /// rejections, single-flight joins, residency).  Thread-safe.
   [[nodiscard]] ArtifactStore::Stats store_stats() const;
-
-  /// Drops every cached artifact (telemetry counters are kept).
-  /// Thread-safe, but answers in-flight on other threads may have
-  /// already resolved against the old contents.
-  void clear_cache();
 
  private:
   struct Impl;

@@ -551,30 +551,6 @@ TwcaOptions parse_twca_options(const JsonValue& value) {
   return options;
 }
 
-void write_twca_options(JsonWriter& w, const TwcaOptions& options) {
-  w.begin_object();
-  w.key("criterion");
-  w.value(options.criterion == SchedulabilityCriterion::kExactEq3 ? "exact_eq3"
-                                                                  : "sufficient_eq5");
-  w.key("max_combinations");
-  w.value(static_cast<long long>(options.max_combinations));
-  w.key("minimal_only");
-  w.value(options.minimal_only);
-  w.key("cap_at_k");
-  w.value(options.cap_at_k);
-  w.key("use_dfs_packer");
-  w.value(options.use_dfs_packer);
-  w.key("max_busy_windows");
-  w.value(options.analysis.max_busy_windows);
-  w.key("max_fixed_point_iterations");
-  w.value(options.analysis.max_fixed_point_iterations);
-  w.key("divergence_guard");
-  w.value(options.analysis.divergence_guard);
-  w.key("naive_arbitrary");
-  w.value(options.analysis.naive_arbitrary);
-  w.end_object();
-}
-
 Expected<WireRequest> parse_request(const std::string& line) {
   return capture([&] {
     const JsonValue root = parse_json(line);

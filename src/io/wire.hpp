@@ -238,11 +238,6 @@ struct WireRequest {
 /// (throws InvalidArgument — the protocol is strict, not lenient).
 [[nodiscard]] TwcaOptions parse_twca_options(const JsonValue& value);
 
-/// Writes `options` as the wire "options" object (every field, in the
-/// stable order documented in docs/serve-protocol.md).  Round-trips
-/// through parse_twca_options exactly.
-void write_twca_options(JsonWriter& w, const TwcaOptions& options);
-
 // ---------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------

@@ -126,21 +126,8 @@ PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptio
       spec_(std::move(spec)),
       targets_(resolve_targets(base_, spec_)),
       options_(options),
-      store_(&store),
       jobs_(jobs),
-      session_(std::make_unique<Session>(base_, options_, *store_, 1)),
-      base_priorities_(base_.flat_priorities()),
-      task_names_(dotted_task_names(base_)) {}
-
-PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptions options,
-                                     std::size_t cache_bytes)
-    : base_(std::move(base)),
-      spec_(std::move(spec)),
-      targets_(resolve_targets(base_, spec_)),
-      options_(options),
-      owned_store_(std::make_unique<ArtifactStore>(cache_bytes)),
-      store_(owned_store_.get()),
-      session_(std::make_unique<Session>(base_, options_, *store_, 1)),
+      session_(std::make_unique<Session>(base_, options_, store, 1)),
       base_priorities_(base_.flat_priorities()),
       task_names_(dotted_task_names(base_)) {}
 
@@ -223,12 +210,6 @@ EvaluatorStats PipelineEvaluator::stats() const {
 // ---------------------------------------------------------------------
 // Free functions
 // ---------------------------------------------------------------------
-
-Objective evaluate_assignment(const System& system, const EvaluationSpec& spec,
-                              const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return evaluator.evaluate(system.flat_priorities());
-}
 
 SearchResult exhaustive_search(Evaluator& evaluator, long long max_permutations) {
   std::vector<Priority> priorities = exhaustive_start(evaluator.base(), max_permutations);
@@ -328,24 +309,6 @@ SearchResult hill_climb(Evaluator& evaluator, const HillClimbOptions& options) {
     }
   }
   return result;
-}
-
-SearchResult exhaustive_search(const System& system, const EvaluationSpec& spec,
-                               long long max_permutations, const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return exhaustive_search(evaluator, max_permutations);
-}
-
-SearchResult random_search(const System& system, const EvaluationSpec& spec, int samples,
-                           std::uint64_t seed, const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return random_search(evaluator, samples, seed);
-}
-
-SearchResult hill_climb(const System& system, const EvaluationSpec& spec,
-                        const HillClimbOptions& options, const TwcaOptions& twca_options) {
-  PipelineEvaluator evaluator(system, spec, twca_options);
-  return hill_climb(evaluator, options);
 }
 
 }  // namespace wharf::search

@@ -81,7 +81,7 @@ struct EvaluatorStats {
   /// that do not cache).
   SliceCache::Stats slices;
 
-  [[nodiscard]] std::size_t lookups() const;
+  [[nodiscard]] std::size_t lookups() const;  ///< store lookups, summed over stages
   [[nodiscard]] std::size_t hits() const;    ///< served from the store
   [[nodiscard]] std::size_t misses() const;  ///< computed afresh
   [[nodiscard]] std::size_t shared() const;  ///< joined an in-flight compute
@@ -94,6 +94,7 @@ struct EvaluatorStats {
 /// bit-identical to sequential evaluation.
 class Evaluator {
  public:
+  /// Evaluators are owned and destroyed through this interface.
   virtual ~Evaluator();
 
   /// The base system whose task priorities are being searched.
@@ -109,6 +110,7 @@ class Evaluator {
   [[nodiscard]] virtual std::vector<Objective> evaluate_many(
       const std::vector<std::vector<Priority>>& candidates);
 
+  /// Lifetime scoring and store telemetry of this evaluator.
   [[nodiscard]] virtual EvaluatorStats stats() const = 0;
 };
 
@@ -131,19 +133,14 @@ class PipelineEvaluator final : public Evaluator {
   PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptions options,
                     ArtifactStore& store, int jobs = 1);
 
-  /// Owns a private store with byte budget `cache_bytes` (0 = unlimited).
-  explicit PipelineEvaluator(System base, EvaluationSpec spec = {}, TwcaOptions options = {},
-                             std::size_t cache_bytes = ArtifactStore::kDefaultByteBudget);
-
   ~PipelineEvaluator() override;
 
+  // Evaluator overrides (see Evaluator for their contracts).
   [[nodiscard]] const System& base() const override;
   [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
   [[nodiscard]] std::vector<Objective> evaluate_many(
       const std::vector<std::vector<Priority>>& candidates) override;
   [[nodiscard]] EvaluatorStats stats() const override;
-
-  [[nodiscard]] const ArtifactStore& store() const { return *store_; }
 
  private:
   [[nodiscard]] Objective score(const std::vector<Priority>& priorities, int ilp_jobs);
@@ -152,8 +149,6 @@ class PipelineEvaluator final : public Evaluator {
   EvaluationSpec spec_;
   std::vector<int> targets_;
   TwcaOptions options_;
-  std::unique_ptr<ArtifactStore> owned_store_;  ///< engaged by the owning ctor
-  ArtifactStore* store_ = nullptr;
   int jobs_ = 1;
   /// The base session candidates speculate from (owns the shared
   /// SliceCache; never mutated itself).
@@ -163,12 +158,6 @@ class PipelineEvaluator final : public Evaluator {
   mutable util::Mutex stats_mutex_;
   EvaluatorStats stats_ WHARF_GUARDED_BY(stats_mutex_);
 };
-
-/// Scores one system (one priority assignment) through a transient
-/// pipeline-backed evaluator.  For loops, construct a PipelineEvaluator
-/// once and reuse it — that is what makes neighborhoods cheap.
-[[nodiscard]] Objective evaluate_assignment(const System& system, const EvaluationSpec& spec,
-                                            const TwcaOptions& options = {});
 
 /// Search outcome: the best priorities found (flat task order, apply via
 /// System::with_priorities), their objective and the evaluation count.
@@ -202,22 +191,6 @@ struct HillClimbOptions {
 /// batch.
 [[nodiscard]] SearchResult hill_climb(Evaluator& evaluator,
                                       const HillClimbOptions& options = {});
-
-// ---------------------------------------------------------------------
-// Conveniences binding a private pipeline-backed evaluator per call
-// ---------------------------------------------------------------------
-
-[[nodiscard]] SearchResult exhaustive_search(const System& system, const EvaluationSpec& spec,
-                                             long long max_permutations = 50'000,
-                                             const TwcaOptions& options = {});
-
-[[nodiscard]] SearchResult random_search(const System& system, const EvaluationSpec& spec,
-                                         int samples, std::uint64_t seed,
-                                         const TwcaOptions& options = {});
-
-[[nodiscard]] SearchResult hill_climb(const System& system, const EvaluationSpec& spec,
-                                      const HillClimbOptions& options = {},
-                                      const TwcaOptions& twca_options = {});
 
 }  // namespace wharf::search
 

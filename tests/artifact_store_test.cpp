@@ -91,16 +91,6 @@ TEST(ArtifactStore, UnlimitedBudgetNeverEvicts) {
   EXPECT_EQ(store.stats().evictions, 0u);
 }
 
-TEST(ArtifactStore, ClearDropsResidencyKeepsCounters) {
-  ArtifactStore store;
-  store.insert(ArtifactStage::kIlp, "k", payload(1), 10);
-  store.clear();
-  EXPECT_FALSE(store.lookup(ArtifactStage::kIlp, "k").has_value());
-  EXPECT_EQ(store.stats().resident_entries, 0u);
-  EXPECT_EQ(store.stats().resident_bytes, 0u);
-  EXPECT_EQ(store.stats().stage[static_cast<int>(ArtifactStage::kIlp)].insertions, 1u);
-}
-
 TEST(ArtifactStore, StageNames) {
   EXPECT_STREQ(to_string(ArtifactStage::kInterference), "interference");
   EXPECT_STREQ(to_string(ArtifactStage::kBusyWindow), "busy_window");

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/case_studies.hpp"
 #include "core/twca.hpp"
@@ -220,10 +222,16 @@ TEST(Histogram, RejectsSizeMismatch) {
 // System report
 // ---------------------------------------------------------------------------
 
+/// The `wharf analyze` report of `sys`: render_report over an Engine run
+/// of the standard request.
+std::string standard_report(const System& sys, std::vector<Count> ks = {}) {
+  Engine engine;
+  return render_report(sys, engine.run(AnalysisRequest::standard(sys, std::move(ks))));
+}
+
 TEST(Report, CaseStudyReport) {
-  TwcaAnalyzer analyzer{
-      case_studies::date17_case_study(case_studies::OverloadModel::kRareOverload)};
-  const std::string report = render_system_report(analyzer, {3, 76});
+  const std::string report = standard_report(
+      case_studies::date17_case_study(case_studies::OverloadModel::kRareOverload), {3, 76});
   EXPECT_NE(report.find("sigma_c"), std::string::npos);
   EXPECT_NE(report.find("331"), std::string::npos);     // WCL sigma_c
   EXPECT_NE(report.find("166"), std::string::npos);     // WCL w/o overload
@@ -235,8 +243,7 @@ TEST(Report, CaseStudyReport) {
 }
 
 TEST(Report, DefaultHorizon) {
-  TwcaAnalyzer analyzer{case_studies::date17_case_study()};
-  const std::string report = render_system_report(analyzer);
+  const std::string report = standard_report(case_studies::date17_case_study());
   EXPECT_NE(report.find("dmm(10)"), std::string::npos);
 }
 
@@ -246,8 +253,7 @@ system r
 chain c activation=periodic(100)
   task t prio=1 wcet=5
 )");
-  TwcaAnalyzer analyzer{sys};
-  const std::string report = render_system_report(analyzer);
+  const std::string report = standard_report(sys);
   EXPECT_NE(report.find("no deadline"), std::string::npos);
 }
 

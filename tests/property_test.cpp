@@ -54,7 +54,7 @@ TEST_P(RandomSystemProperties, SimulatedLatencyNeverExceedsWcl) {
   const sim::SimResult sim = sim::simulate(sys, arrivals);
 
   for (int c : sys.regular_indices()) {
-    const LatencyResult& bound = analyzer.latency(c);
+    const LatencyResult bound = analyzer.latency(c);
     if (!bound.bounded) continue;  // analysis gives no bound; nothing to check
     EXPECT_LE(sim.chains[static_cast<std::size_t>(c)].max_latency, bound.wcl)
         << "chain " << sys.chain(c).name() << " seed " << GetParam();
@@ -71,7 +71,7 @@ TEST_P(RandomSystemProperties, SimulatedWindowMissesNeverExceedDmm) {
   const sim::SimResult sim = sim::simulate(sys, arrivals);
 
   for (int c : sys.regular_indices()) {
-    const LatencyResult& latency = analyzer.latency(c);
+    const LatencyResult latency = analyzer.latency(c);
     if (!latency.bounded) continue;
     // The paper's standing assumption: at most one overload activation
     // per busy window.  Check it *exactly* on the observed run (Def. 6
@@ -222,7 +222,7 @@ TEST_P(RandomSystemProperties, DmmZeroIffScheduable) {
   const System sys = gen::random_system(property_spec(false), rng);
   TwcaAnalyzer analyzer{sys};
   for (int c : sys.regular_indices()) {
-    const LatencyResult& lat = analyzer.latency(c);
+    const LatencyResult lat = analyzer.latency(c);
     if (!lat.bounded) continue;
     const DmmResult r = analyzer.dmm(c, 10);
     if (lat.schedulable) {
@@ -326,7 +326,7 @@ TEST_P(RandomSystemProperties, LatencyDominatesEveryInstanceNotJustMax) {
   }
   const sim::SimResult r = sim::simulate(sys, arrivals);
   for (int c : sys.regular_indices()) {
-    const LatencyResult& bound = analyzer.latency(c);
+    const LatencyResult bound = analyzer.latency(c);
     if (!bound.bounded) continue;
     for (const sim::InstanceRecord& rec :
          r.chains[static_cast<std::size_t>(c)].instances) {
@@ -391,7 +391,7 @@ TEST_P(ShuffledCaseStudy, SimulationRespectsAnalysisBounds) {
   const sim::SimResult sim = sim::simulate(sys, arrivals);
 
   for (int c : sys.regular_indices()) {
-    const LatencyResult& lat = analyzer.latency(c);
+    const LatencyResult lat = analyzer.latency(c);
     if (!lat.bounded) continue;
     EXPECT_LE(sim.chains[static_cast<std::size_t>(c)].max_latency, lat.wcl)
         << "chain " << sys.chain(c).name() << " seed " << GetParam();

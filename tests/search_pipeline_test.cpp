@@ -156,7 +156,8 @@ TEST(PipelineSearch, SwapChurnMatchesFreshEvaluationBitForBit) {
     for (int step = 0; step < 10; ++step) {
       std::swap(priorities[pick(rng)], priorities[pick(rng)]);
       const Objective through_store = warm.evaluate(priorities);
-      PipelineEvaluator fresh(base, spec);
+      ArtifactStore fresh_store;
+      PipelineEvaluator fresh(base, spec, {}, fresh_store);
       EXPECT_EQ(through_store, fresh.evaluate(priorities))
           << "trial " << trial << " step " << step;
       EXPECT_EQ(through_store, reference.evaluate(priorities))

@@ -122,10 +122,10 @@ TEST(StoreStress, OverlappedResolvesShareExactlyOncePerRound) {
 }
 
 // ---------------------------------------------------------------------
-// Eviction churn: a tiny budget under many writers, readers and clear()
+// Eviction churn: a tiny budget under many writers and readers
 // ---------------------------------------------------------------------
 
-TEST(StoreStress, EvictionChurnUnderConcurrentStatsAndClearStaysCoherent) {
+TEST(StoreStress, EvictionChurnUnderConcurrentStatsStaysCoherent) {
   constexpr std::size_t kBudget = 4096;   // holds ~16 entries of weight 256
   constexpr std::size_t kWeight = 256;
   constexpr int kThreads = 8;
@@ -155,18 +155,11 @@ TEST(StoreStress, EvictionChurnUnderConcurrentStatsAndClearStaysCoherent) {
           case 0:
             store.insert(stage, key, payload(i, kWeight).first, kWeight);
             break;
-          case 1:
-            (void)store.lookup(stage, key);
-            break;
           case 2:
             (void)store.resolve(stage, key, [&] { return payload(i, kWeight); });
             break;
           default:
-            if (i % 100 == 3 && t == 0) {
-              store.clear();  // counters other than residency survive
-            } else {
-              (void)store.lookup(stage, key);
-            }
+            (void)store.lookup(stage, key);
             break;
         }
       }
@@ -182,11 +175,6 @@ TEST(StoreStress, EvictionChurnUnderConcurrentStatsAndClearStaysCoherent) {
   EXPECT_GT(stats.stage[static_cast<std::size_t>(
                             static_cast<int>(ArtifactStage::kBusyWindow))].insertions,
             0u);
-  store.clear();
-  const ArtifactStore::Stats cleared = store.stats();
-  EXPECT_EQ(cleared.resident_entries, 0u);
-  EXPECT_EQ(cleared.resident_bytes, 0u);
-  expect_coherent(cleared, kBudget);
 }
 
 // ---------------------------------------------------------------------

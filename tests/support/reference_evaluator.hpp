@@ -43,7 +43,7 @@ class ReferenceEvaluator final : public Evaluator {
       const DmmResult r = analyzer.dmm(c, spec_.k);
       if (r.dmm > 0) ++obj.chains_missing;
       obj.total_dmm += r.dmm;
-      const LatencyResult& lat = analyzer.latency(c);
+      const LatencyResult lat = analyzer.latency(c);
       obj.total_wcl =
           sat_add(obj.total_wcl, lat.bounded ? lat.wcl : options_.analysis.divergence_guard);
     }

@@ -390,7 +390,7 @@ TEST(Twca, AsynchronousTargetEndToEnd) {
   const System sys("async_target", {Chain(std::move(t)), Chain(std::move(o))});
 
   TwcaAnalyzer analyzer{sys};
-  const LatencyResult& lat = analyzer.latency(0);
+  const LatencyResult lat = analyzer.latency(0);
   ASSERT_TRUE(lat.bounded);
   EXPECT_EQ(lat.K, 3);
   ASSERT_EQ(lat.busy_times.size(), 3u);

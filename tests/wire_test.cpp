@@ -165,41 +165,34 @@ TEST(WireOptions, OpenSessionCarriesTwcaOptions) {
             defaults.analysis.divergence_guard);
 }
 
-TEST(WireOptions, TwcaOptionsRoundTripThroughTheWire) {
-  TwcaOptions options;
-  options.criterion = SchedulabilityCriterion::kExactEq3;
-  options.max_combinations = 4321;
-  options.minimal_only = false;
-  options.cap_at_k = false;
-  options.use_dfs_packer = true;
-  options.analysis.max_busy_windows = 11;
-  options.analysis.max_fixed_point_iterations = 22;
-  options.analysis.divergence_guard = 3333;
-  options.analysis.naive_arbitrary = true;
+TEST(WireOptions, ParsesEveryTwcaOptionsField) {
+  const TwcaOptions parsed = parse_twca_options(parse_json(
+      R"({"criterion":"exact_eq3","max_combinations":4321,"minimal_only":false,)"
+      R"("cap_at_k":false,"use_dfs_packer":true,"max_busy_windows":11,)"
+      R"("max_fixed_point_iterations":22,"divergence_guard":3333,"naive_arbitrary":true})"));
+  EXPECT_EQ(parsed.criterion, SchedulabilityCriterion::kExactEq3);
+  EXPECT_EQ(parsed.max_combinations, 4321u);
+  EXPECT_FALSE(parsed.minimal_only);
+  EXPECT_FALSE(parsed.cap_at_k);
+  EXPECT_TRUE(parsed.use_dfs_packer);
+  EXPECT_EQ(parsed.analysis.max_busy_windows, 11);
+  EXPECT_EQ(parsed.analysis.max_fixed_point_iterations, 22);
+  EXPECT_EQ(parsed.analysis.divergence_guard, 3333);
+  EXPECT_TRUE(parsed.analysis.naive_arbitrary);
 
-  std::ostringstream os;
-  JsonWriter w(os);
-  write_twca_options(w, options);
-  const TwcaOptions parsed = parse_twca_options(parse_json(os.str()));
-  EXPECT_EQ(parsed.criterion, options.criterion);
-  EXPECT_EQ(parsed.max_combinations, options.max_combinations);
-  EXPECT_EQ(parsed.minimal_only, options.minimal_only);
-  EXPECT_EQ(parsed.cap_at_k, options.cap_at_k);
-  EXPECT_EQ(parsed.use_dfs_packer, options.use_dfs_packer);
-  EXPECT_EQ(parsed.analysis.max_busy_windows, options.analysis.max_busy_windows);
-  EXPECT_EQ(parsed.analysis.max_fixed_point_iterations,
-            options.analysis.max_fixed_point_iterations);
-  EXPECT_EQ(parsed.analysis.divergence_guard, options.analysis.divergence_guard);
-  EXPECT_EQ(parsed.analysis.naive_arbitrary, options.analysis.naive_arbitrary);
-
-  // Defaults round-trip too (the writer emits every field).
-  std::ostringstream defaults_os;
-  JsonWriter defaults_writer(defaults_os);
-  write_twca_options(defaults_writer, TwcaOptions{});
-  const TwcaOptions defaults = parse_twca_options(parse_json(defaults_os.str()));
-  EXPECT_EQ(defaults.criterion, TwcaOptions{}.criterion);
-  EXPECT_EQ(defaults.max_combinations, TwcaOptions{}.max_combinations);
-  EXPECT_EQ(defaults.analysis.divergence_guard, TwcaOptions{}.analysis.divergence_guard);
+  // Every field is optional: {} parses to the defaults.
+  const TwcaOptions defaults = parse_twca_options(parse_json("{}"));
+  const TwcaOptions expected;
+  EXPECT_EQ(defaults.criterion, expected.criterion);
+  EXPECT_EQ(defaults.max_combinations, expected.max_combinations);
+  EXPECT_EQ(defaults.minimal_only, expected.minimal_only);
+  EXPECT_EQ(defaults.cap_at_k, expected.cap_at_k);
+  EXPECT_EQ(defaults.use_dfs_packer, expected.use_dfs_packer);
+  EXPECT_EQ(defaults.analysis.max_busy_windows, expected.analysis.max_busy_windows);
+  EXPECT_EQ(defaults.analysis.max_fixed_point_iterations,
+            expected.analysis.max_fixed_point_iterations);
+  EXPECT_EQ(defaults.analysis.divergence_guard, expected.analysis.divergence_guard);
+  EXPECT_EQ(defaults.analysis.naive_arbitrary, expected.analysis.naive_arbitrary);
 }
 
 TEST(WireOptions, RejectsUnknownOrInvalidOptionFields) {
