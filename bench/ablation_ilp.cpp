@@ -119,14 +119,15 @@ void print_tables() {
     solver_systems.push_back(heavy_overload_system(seed));
   }
   for (const System& sys : solver_systems) {
-    TwcaOptions ilp_opts;
-    TwcaOptions dfs_opts;
-    dfs_opts.use_dfs_packer = true;
-    TwcaAnalyzer with_ilp{sys, ilp_opts};
-    TwcaAnalyzer with_dfs{sys, dfs_opts};
+    const TwcaAnalyzer analyzer{sys};
     for (int c : sys.regular_indices()) {
-      const DmmResult a = with_ilp.dmm(c, 50);
-      const DmmResult b = with_dfs.dmm(c, 50);
+      // Both solvers run over the same k-independent stages; the DFS
+      // cross-check goes through dmm_from_artifacts' solver seam.
+      const DmmStages stages = analyzer.dmm_stages(c);
+      const DmmResult a = dmm_from_artifacts(sys, c, stages.latency, stages.artifacts, 50,
+                                             analyzer.options());
+      const DmmResult b = dmm_from_artifacts(sys, c, stages.latency, stages.artifacts, 50,
+                                             analyzer.options(), ilp::solve_packing_dfs);
       if (a.status != DmmStatus::kBounded || a.unschedulable_count == 0) continue;
       solvers.add_row({util::cat(sys.name(), "/", sys.chain(c).name()),
                        util::cat(a.packing_optimum), util::cat(a.solver_nodes),

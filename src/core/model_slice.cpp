@@ -154,13 +154,6 @@ std::size_t KeyInterner::size() const {
   return fragments_.size();
 }
 
-void KeyInterner::append_id(std::string& out, std::uint32_t id) {
-  out += static_cast<char>(id & 0xffu);
-  out += static_cast<char>((id >> 8) & 0xffu);
-  out += static_cast<char>((id >> 16) & 0xffu);
-  out += static_cast<char>((id >> 24) & 0xffu);
-}
-
 // ---------------------------------------------------------------------
 // SliceCache
 // ---------------------------------------------------------------------
@@ -295,9 +288,14 @@ std::string combination_options_slice(const TwcaOptions& options) {
 
 namespace {
 
-// Appends one fragment to an interned key: intern the text, emit the id.
+// Appends one fragment to an interned key: intern the text, emit its id
+// as KeyInterner::kIdBytes little-endian bytes.
 void append_fragment(std::string& out, KeyInterner& interner, std::string_view piece) {
-  KeyInterner::append_id(out, interner.intern(piece));
+  const std::uint32_t id = interner.intern(piece);
+  out += static_cast<char>(id & 0xffu);
+  out += static_cast<char>((id >> 8) & 0xffu);
+  out += static_cast<char>((id >> 16) & 0xffu);
+  out += static_cast<char>((id >> 24) & 0xffu);
 }
 
 }  // namespace
@@ -491,8 +489,6 @@ std::string dmm_key(Count k, const TwcaOptions& options, const std::string& over
   append_num(header, k);
   header += ";cap=";
   append_num(header, options.cap_at_k);
-  header += ";dfs=";
-  append_num(header, options.use_dfs_packer);
   header += ';';
   if (interner != nullptr) append_fragment(out, *interner, piece);
   out += overload_part;

@@ -4,9 +4,9 @@
 ///
 /// The TWCA pipeline is staged: interference/segment structure (Defs
 /// 2–5) → busy windows (Thm 1/2) → overload structures + unschedulable
-/// combinations (Defs 8/9, Eq. 5) → dmm(k) (Thm 3) → combination-packing
-/// ILP.  Each stage's result is a pure function of a *slice* of the
-/// system model, usually much smaller than the whole system:
+/// combinations (Defs 8/9, Eq. 5) → dmm(k) (Thm 3, including its
+/// combination-packing ILP).  Each stage's result is a pure function of a
+/// *slice* of the system model, usually much smaller than the whole system:
 ///
 ///  * the busy window of target σ_b reads σ_b in full, but of every
 ///    other chain σ_a only a derived interference summary — the
@@ -15,8 +15,7 @@
 ///    against σ_b's minimum priority);
 ///  * the overload structure additionally reads the active segments of
 ///    overload chains w.r.t. σ_b;
-///  * the packing ILP reads nothing but capacities and item-resource
-///    incidence.
+///  * dmm(k) additionally reads k and the cap_at_k option.
 ///
 /// The functions here serialize exactly those read sets into canonical
 /// strings.  Two systems with equal slices provably yield bit-identical
@@ -67,9 +66,6 @@ class KeyInterner {
 
   /// Number of distinct fragments interned so far (ids are 0..size-1).
   [[nodiscard]] std::size_t size() const;
-
-  /// Appends `id` to `out` as 4 little-endian bytes.
-  static void append_id(std::string& out, std::uint32_t id);
 
  private:
   mutable util::Mutex mutex_;

@@ -42,9 +42,6 @@ struct TwcaOptions {
   /// Additionally cap dmm(k) at k (trivially sound; the raw ILP bound can
   /// exceed k for tiny k).
   bool cap_at_k = true;
-  /// Solve the packing with the exhaustive DFS solver instead of the
-  /// branch-and-bound ILP (cross-check / ablation path).
-  bool use_dfs_packer = false;
 };
 
 /// Classification of a DMM query outcome.
@@ -92,14 +89,14 @@ struct DmmResult {
 // -> dmm(k) with a combination-packing solve.  The free functions below
 // expose each boundary so callers that cache artifacts at a finer grain
 // than "one analyzer per system" (wharf::Engine's ArtifactStore) can
-// inject upstream results and intercept the packing solve.  TwcaAnalyzer
-// is the stateless per-system façade over the same functions.
+// inject upstream results.  TwcaAnalyzer is the stateless per-system
+// façade over the same functions.
 
-/// Injectable solver for the Theorem-3 packing step.  The default (an
-/// empty function) picks solve_packing_ilp / solve_packing_dfs per
-/// TwcaOptions::use_dfs_packer; the Engine injects a solver that caches
-/// solutions by problem content and splits independent subproblems
-/// across its worker pool.
+/// Test seam of dmm_from_artifacts for the Theorem-3 packing step.  Every
+/// production caller (the Engine, sessions, search, TwcaAnalyzer) passes
+/// none, which solves the whole problem with ilp::solve_packing_ilp on
+/// the calling thread.  Tests and bench_ablation_ilp pass
+/// ilp::solve_packing_dfs (the cross-check) or a recording wrapper.
 using PackingSolver = std::function<ilp::PackingSolution(const ilp::PackingProblem&)>;
 
 /// The k-independent artifacts of Theorem 3 for one target chain: the
@@ -127,8 +124,8 @@ struct TargetArtifacts {
 /// The k-dependent step of Theorem 3: Lemma-4 capacities, the packing
 /// problem over `artifacts.unschedulable`, and the final dmm(k) bound.
 /// `latency` and `artifacts` must describe `target` (the outputs of the
-/// upstream stages); `solver` intercepts the packing solve (empty =
-/// built-in exact solvers).
+/// upstream stages); `solver` replaces the packing solve (empty =
+/// ilp::solve_packing_ilp; see PackingSolver).
 [[nodiscard]] DmmResult dmm_from_artifacts(const System& system, int target,
                                            const LatencyResult& latency,
                                            const TargetArtifacts& artifacts, Count k,

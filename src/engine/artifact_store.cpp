@@ -27,7 +27,6 @@ const char* to_string(ArtifactStage stage) {
     case ArtifactStage::kBusyWindow: return "busy_window";
     case ArtifactStage::kOverload: return "overload";
     case ArtifactStage::kDmmCurve: return "dmm_curve";
-    case ArtifactStage::kIlp: return "ilp";
   }
   return "unknown";
 }

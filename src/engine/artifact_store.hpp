@@ -4,9 +4,9 @@
 ///
 /// Where PR 1's engine cached one opaque analyzer per system, the store
 /// caches every pipeline stage separately — interference contexts, busy
-/// windows, overload artifacts, dmm(k) results, packing-ILP solutions —
-/// keyed by a canonical serialization of the model slice the stage
-/// actually reads (core/model_slice.hpp).  Two requests that differ in
+/// windows, overload artifacts, dmm(k) results — keyed by a canonical
+/// serialization of the model slice the stage actually reads
+/// (core/model_slice.hpp).  Two requests that differ in
 /// one chain's priority therefore share every artifact whose slice is
 /// unchanged: a design-space sweep recomputes only what the mutation
 /// touches.
@@ -61,10 +61,9 @@ enum class ArtifactStage : int {
   kBusyWindow,        ///< per-target latency results (Thm 1/2), both variants
   kOverload,          ///< per-target k-independent overload artifacts (Eq. 5 / Def. 9)
   kDmmCurve,          ///< per-(target, k) dmm results (Thm 3)
-  kIlp,               ///< packing solutions keyed by problem content
 };
 
-inline constexpr std::size_t kArtifactStageCount = 5;
+inline constexpr std::size_t kArtifactStageCount = 4;
 
 /// Short stable stage name ("interference", "busy_window", ...).
 [[nodiscard]] const char* to_string(ArtifactStage stage);

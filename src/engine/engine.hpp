@@ -12,14 +12,13 @@
 ///  * batching  — run_batch() answers many requests in one call;
 ///  * parallelism — independent queries (chains x k-grids x systems) are
 ///    evaluated on a worker pool (EngineOptions::jobs), with results
-///    bit-identical to sequential execution; one target's combination-
-///    packing ILP is additionally split across the pool via a
-///    work-stealing deque over its independent subproblems;
+///    bit-identical to sequential execution; each combination-packing
+///    ILP is solved whole on the thread that needs it;
 ///  * caching — every pipeline stage (interference contexts, busy
-///    windows, overload artifacts, dmm(k) curves, packing-ILP
-///    solutions) is cached separately in a shared ArtifactStore, keyed
-///    by the model slice the stage reads and size-bounded by artifact
-///    weight (EngineOptions::cache_bytes).  Near-identical systems — a
+///    windows, overload artifacts, dmm(k) curves) is cached separately
+///    in a shared ArtifactStore, keyed by the model slice the stage
+///    reads and size-bounded by artifact weight
+///    (EngineOptions::cache_bytes).  Near-identical systems — a
 ///    design-space sweep mutating one chain at a time — share every
 ///    artifact the mutation does not touch.  Effectiveness is
 ///    observable per stage via ReportDiagnostics / store_stats().
@@ -292,8 +291,8 @@ struct AnalysisReport {
 
 /// Construction-time knobs of an Engine (immutable afterwards).
 struct EngineOptions {
-  /// Worker threads for query evaluation and intra-ILP work stealing;
-  /// 1 = sequential, 0 = all hardware threads.
+  /// Worker threads for query evaluation; 1 = sequential, 0 = all
+  /// hardware threads.
   int jobs = 1;
   /// Artifact-store weight budget in bytes (admission and LRU eviction
   /// are by measured artifact weight; 0 = unlimited).

@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -52,26 +51,6 @@ std::size_t weight_of(const DmmResult& r) {
   return sizeof(r) + util::heap_bytes(r.omegas) + util::heap_bytes(r.reason);
 }
 
-std::size_t weight_of(const ilp::PackingSolution& s) {
-  return sizeof(s) + util::heap_bytes(s.counts);
-}
-
-/// Canonical content encoding of a packing problem (the ILP stage key —
-/// two targets or k values yielding the same capacities and incidence
-/// share one solve).
-std::string packing_key(const ilp::PackingProblem& problem, bool use_dfs) {
-  std::ostringstream os;
-  os << "ilp|dfs=" << use_dfs << ";cap=[";
-  for (const Count c : problem.capacities) os << c << ',';
-  os << "];items=[";
-  for (const auto& item : problem.item_resources) {
-    for (const int r : item) os << r << '.';
-    os << '|';
-  }
-  os << ']';
-  return os.str();
-}
-
 /// Per-request memo of one per-target stage-key family (State keeps one
 /// per key kind).  Keys are pure functions of (system, options), both
 /// fixed for the pipeline's lifetime, and serializing a slice walks the
@@ -116,7 +95,6 @@ class TargetKeyCache {
 struct Pipeline::Shared {
   ArtifactStore* store = nullptr;
   std::uint64_t epoch = 0;
-  int jobs = 1;
   util::Mutex diag_mutex;
   std::array<StageDiagnostics, kArtifactStageCount> diag WHARF_GUARDED_BY(diag_mutex) = {};
 };
@@ -265,7 +243,7 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const std
 // ---------------------------------------------------------------------
 
 Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-                   std::uint64_t epoch, int jobs, SliceCache* slices)
+                   std::uint64_t epoch, int /*jobs*/, SliceCache* slices)
     : state_(std::make_unique<State>()) {
   state_->system = &system;
   state_->options = options;
@@ -274,7 +252,6 @@ Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactSto
   state_->shared = std::make_shared<Shared>();
   state_->shared->store = &store;
   state_->shared->epoch = epoch;
-  state_->shared->jobs = jobs;
 }
 
 Pipeline::Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
@@ -341,21 +318,7 @@ DmmResult Pipeline::dmm(int target, Count k) {
       dmm_key(k, state_->options, state_->overload_key_for(target), state_->interner), [&] {
         const auto full = latency(target);
         const auto artifacts = overload_artifacts(target);
-        const PackingSolver solver = [this](const ilp::PackingProblem& problem) {
-          // The content encoding is interned whole (one id): packing
-          // problems repeat across targets and k values, so the long
-          // text is hashed once and every later lookup keys 4 bytes.
-          std::string key;
-          KeyInterner::append_id(
-              key, state_->interner->intern(
-                       packing_key(problem, state_->options.use_dfs_packer)));
-          return *state_->acquire<ilp::PackingSolution>(ArtifactStage::kIlp, key, [&] {
-            return ilp::solve_packing_split(problem, state_->shared->jobs,
-                                            state_->options.use_dfs_packer);
-          });
-        };
-        return dmm_from_artifacts(system(), target, *full, *artifacts, k, state_->options,
-                                  solver);
+        return dmm_from_artifacts(system(), target, *full, *artifacts, k, state_->options);
       });
   return *result;
 }

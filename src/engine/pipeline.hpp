@@ -11,8 +11,9 @@
 /// concurrent *requests* — batch siblings, search candidates — needing
 /// the same absent artifact share one computation), then the core
 /// computation — whose upstream inputs go through the same resolution
-/// recursively.  The packing-ILP solve is intercepted the same way and
-/// split across the worker pool (ilp::solve_packing_split).
+/// recursively.  The dmm stage's packing ILP is not a stage of its own:
+/// dmm_from_artifacts (core/twca.hpp) solves it whole on the calling
+/// thread, exactly as the stateless reference does.
 ///
 /// Path queries run through the same machinery: each per-chain budgeted
 /// dmm spawns a sub-pipeline over System::with_deadline that shares the
@@ -60,8 +61,10 @@ struct StageDiagnostics {
 class Pipeline {
  public:
   /// `system` and `store` must outlive the pipeline; `epoch` is the
-  /// request's store epoch; `jobs` sizes the intra-ILP work stealing.
-  /// A non-null `slices` (also outliving the pipeline) memoizes
+  /// request's store epoch.  `jobs` is ignored: packing solves run on
+  /// the calling thread.  It remains only because wharfbench's layer
+  /// replay passes it, and goes with Pipeline when the store is retired
+  /// (ROADMAP.md, direction 2).  A non-null `slices` (also outliving the pipeline) memoizes
   /// per-chain slice strings across pipelines — sessions and the search
   /// evaluator pass one so candidates/revisions that leave a chain's
   /// priority sub-vector untouched reuse its serialized slice; the
@@ -87,8 +90,8 @@ class Pipeline {
   /// Stage 3: k-independent overload artifacts of `target`.
   [[nodiscard]] std::shared_ptr<const TargetArtifacts> overload_artifacts(int target);
 
-  /// Stages 4+5: dmm(k) per Theorem 3, with the packing solve cached by
-  /// problem content and split across the worker pool.
+  /// Stage 4: dmm(k) per Theorem 3 (the packing ILP solved whole on the
+  /// calling thread).
   [[nodiscard]] DmmResult dmm(int target, Count k);
   [[nodiscard]] std::vector<DmmResult> dmm_curve(int target, const std::vector<Count>& ks);
 
@@ -101,7 +104,7 @@ class Pipeline {
   [[nodiscard]] std::array<StageDiagnostics, kArtifactStageCount> stage_diagnostics() const;
 
   /// Sub-pipeline over a variant of the system with `target`'s deadline
-  /// replaced (owned copy), sharing store, epoch, jobs and diagnostics
+  /// replaced (owned copy), sharing store, epoch and diagnostics
   /// with this pipeline.  Path dmm queries use it for per-chain budgets.
   /// Memoized per (target, deadline) for the pipeline's lifetime, so a
   /// k-grid over one budget resolves each artifact once.

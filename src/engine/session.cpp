@@ -53,7 +53,6 @@ std::string model_fingerprint(const System& system, const TwcaOptions& o) {
   os << io::serialize_system(system) << '\n'
      << "criterion=" << static_cast<int>(o.criterion) << " max_combinations="
      << o.max_combinations << " minimal_only=" << o.minimal_only << " cap_at_k=" << o.cap_at_k
-     << " use_dfs_packer=" << o.use_dfs_packer
      << " max_busy_windows=" << o.analysis.max_busy_windows
      << " max_fixed_point_iterations=" << o.analysis.max_fixed_point_iterations
      << " divergence_guard=" << o.analysis.divergence_guard
@@ -496,7 +495,8 @@ struct Session::Impl {
   Stages reported{};
 
   void reset_pipeline() {
-    pipeline = std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, slices.get());
+    pipeline =
+        std::make_unique<Pipeline>(*model, options, *store, epoch, /*jobs=*/1, slices.get());
   }
 
   [[nodiscard]] Stages lifetime_stages() const {
@@ -559,7 +559,7 @@ Status Session::apply(const std::vector<Delta>& deltas) {
   return Status::ok();
 }
 
-Session Session::speculate(const std::vector<Delta>& deltas, int jobs) const {
+Session Session::speculate(const std::vector<Delta>& deltas) const {
   Expected<System> mutated = mutate(*impl_->model, deltas);
   WHARF_EXPECT(mutated.has_value(),
                "invalid speculative delta batch: " << mutated.status().to_string());
@@ -568,9 +568,8 @@ Session Session::speculate(const std::vector<Delta>& deltas, int jobs) const {
   // structural candidates get their own.
   const bool structural = std::any_of(deltas.begin(), deltas.end(),
                                       [](const Delta& d) { return is_structural(d); });
-  return Session(std::move(mutated).value(), impl_->options, *impl_->store,
-                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(),
-                 structural ? nullptr : impl_->slices);
+  return Session(std::move(mutated).value(), impl_->options, *impl_->store, impl_->jobs,
+                 impl_->store->begin_epoch(), structural ? nullptr : impl_->slices);
 }
 
 QueryResult Session::execute(const Query& query, std::size_t concurrent_tasks) {

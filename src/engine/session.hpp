@@ -145,8 +145,8 @@ struct SessionStats {
 class Session {
  public:
   /// Opens a session on `store` (which must outlive it).  Begins a fresh
-  /// store epoch.  `jobs` sizes serve() parallelism and intra-ILP work
-  /// stealing (1 = sequential, 0 = all hardware threads).
+  /// store epoch.  `jobs` sizes serve() parallelism and that of the
+  /// search queries it runs (1 = sequential, 0 = all hardware threads).
   Session(System system, TwcaOptions options, ArtifactStore& store, int jobs = 1);
 
   /// Batch-driver variant (Engine::run_batch): adopts an already-begun
@@ -177,8 +177,8 @@ class Session {
   /// this session's store (own epoch) and — for priority-only batches —
   /// its SliceCache, so speculative candidates reuse each other's key
   /// fragments.  Throws on invalid deltas (the search evaluator builds
-  /// them by construction); `jobs` < 0 inherits this session's.
-  [[nodiscard]] Session speculate(const std::vector<Delta>& deltas, int jobs = -1) const;
+  /// them by construction).  The candidate inherits this session's jobs.
+  [[nodiscard]] Session speculate(const std::vector<Delta>& deltas) const;
 
   /// Answers one query on the current model (same kinds and the same
   /// Status-not-exception contract as Engine::run).

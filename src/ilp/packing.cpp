@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "ilp/branch_and_bound.hpp"
 #include "util/expect.hpp"
-#include "util/work_stealing.hpp"
 
 namespace wharf::ilp {
 
@@ -142,93 +140,6 @@ PackingSolution solve_packing_dfs(const PackingProblem& problem) {
   out.total = state.best;
   out.counts = state.best_counts;
   out.nodes = state.nodes;
-  return out;
-}
-
-PackingPartition partition_packing(const PackingProblem& problem) {
-  validate(problem);
-  const std::size_t n = problem.item_resources.size();
-
-  // Union-find over items; resources link the items that share them.
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  const auto find = [&parent](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::vector<std::size_t> resource_owner(problem.capacities.size(),
-                                          std::numeric_limits<std::size_t>::max());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const int r : problem.item_resources[i]) {
-      std::size_t& owner = resource_owner[static_cast<std::size_t>(r)];
-      if (owner == std::numeric_limits<std::size_t>::max()) {
-        owner = i;
-      } else {
-        parent[find(owner)] = find(i);
-      }
-    }
-  }
-
-  // Assign dense subproblem ids in order of first (smallest) item index,
-  // so the partition is deterministic regardless of union order.
-  PackingPartition partition;
-  std::vector<std::size_t> component(n, std::numeric_limits<std::size_t>::max());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = find(i);
-    if (component[root] == std::numeric_limits<std::size_t>::max()) {
-      component[root] = partition.subproblems.size();
-      partition.subproblems.emplace_back();
-      partition.item_map.emplace_back();
-    }
-    const std::size_t s = component[root];
-    // Keep original resource ids for now; they are renumbered densely
-    // once the whole group is known.
-    partition.subproblems[s].item_resources.push_back(problem.item_resources[i]);
-    partition.item_map[s].push_back(i);
-  }
-
-  // Remap resource ids densely per subproblem (ascending original id).
-  for (PackingProblem& sub : partition.subproblems) {
-    std::vector<int> used;
-    for (const auto& item : sub.item_resources) used.insert(used.end(), item.begin(), item.end());
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    sub.capacities.reserve(used.size());
-    for (const int r : used) sub.capacities.push_back(problem.capacities[static_cast<std::size_t>(r)]);
-    for (auto& item : sub.item_resources) {
-      for (int& r : item) {
-        r = static_cast<int>(std::lower_bound(used.begin(), used.end(), r) - used.begin());
-      }
-    }
-  }
-  return partition;
-}
-
-PackingSolution solve_packing_split(const PackingProblem& problem, int jobs, bool use_dfs) {
-  const PackingPartition partition = partition_packing(problem);
-  PackingSolution out;
-  out.counts.assign(problem.item_resources.size(), 0);
-  if (partition.subproblems.empty()) return out;
-
-  // Every subproblem writes its own preallocated slot; work stealing
-  // only changes the schedule, so the assembled solution is identical
-  // for any jobs value.
-  std::vector<PackingSolution> solved(partition.subproblems.size());
-  util::work_steal_for_index(partition.subproblems.size(), jobs, [&](std::size_t s) {
-    solved[s] = use_dfs ? solve_packing_dfs(partition.subproblems[s])
-                        : solve_packing_ilp(partition.subproblems[s]);
-  });
-
-  for (std::size_t s = 0; s < partition.subproblems.size(); ++s) {
-    out.total += solved[s].total;
-    out.nodes += solved[s].nodes;
-    for (std::size_t j = 0; j < partition.item_map[s].size(); ++j) {
-      out.counts[partition.item_map[s][j]] = solved[s].counts[j];
-    }
-  }
   return out;
 }
 

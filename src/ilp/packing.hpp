@@ -7,10 +7,14 @@
 /// to maximize the total number of packed copies — i.e. the number of
 /// busy windows that can be made unschedulable.
 ///
-/// Two exact solvers are provided: the production path reduces to the ILP
-/// of `branch_and_bound.hpp` (mirroring the paper's use of an ILP solver),
-/// and an independent depth-first enumeration serves as a cross-check in
-/// tests and ablation benchmarks.
+/// Two exact solvers are provided.  The production path reduces the whole
+/// problem to one ILP of `branch_and_bound.hpp` (mirroring the paper's use
+/// of an ILP solver), solved on the calling thread: problems average under
+/// two items, so neither splitting them into independent subproblems nor
+/// caching solutions pays for its overhead.  An independent depth-first
+/// enumeration serves as a cross-check; tests and ablation benchmarks
+/// reach it through the PackingSolver seam of dmm_from_artifacts
+/// (core/twca.hpp).
 
 #ifndef WHARF_ILP_PACKING_HPP
 #define WHARF_ILP_PACKING_HPP
@@ -46,34 +50,6 @@ struct PackingSolution {
 
 /// Exact solver via bounded depth-first enumeration (cross-check path).
 [[nodiscard]] PackingSolution solve_packing_dfs(const PackingProblem& problem);
-
-/// An exact decomposition of a packing problem into independent
-/// subproblems: items coupled (transitively) through shared resources
-/// land in the same subproblem, so the optimum of the whole problem is
-/// the sum of the subproblem optima.  In the TWCA instance, items are
-/// unschedulable combinations and resources are (overload chain, active
-/// segment) pairs — combinations touching disjoint chain/segment sets
-/// decompose, which is what makes one target's packing solve splittable
-/// across a worker pool.
-struct PackingPartition {
-  /// Subproblems in deterministic order (by smallest original item
-  /// index), each with resources renumbered densely.
-  std::vector<PackingProblem> subproblems;
-  /// item_map[s][j] = original index of subproblem s's item j.
-  std::vector<std::vector<std::size_t>> item_map;
-};
-
-/// Partitions a problem into independent subproblems (validates first).
-[[nodiscard]] PackingPartition partition_packing(const PackingProblem& problem);
-
-/// Exact solve via decomposition: partitions the problem and solves the
-/// independent subproblems on `jobs` workers through a work-stealing
-/// deque (subproblem sizes are skewed; stealing balances them).  The
-/// result — total, per-item counts, summed node count — is bit-identical
-/// for every jobs value, including 1.  `use_dfs` selects the DFS
-/// cross-check solver per subproblem instead of the B&B ILP.
-[[nodiscard]] PackingSolution solve_packing_split(const PackingProblem& problem, int jobs,
-                                                  bool use_dfs = false);
 
 /// Validates a packing problem (non-negative capacities, resource indices
 /// in range, no duplicate resource within an item); throws

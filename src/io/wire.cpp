@@ -527,8 +527,6 @@ TwcaOptions parse_twca_options(const JsonValue& value) {
       options.minimal_only = field.as_bool();
     } else if (key == "cap_at_k") {
       options.cap_at_k = field.as_bool();
-    } else if (key == "use_dfs_packer") {
-      options.use_dfs_packer = field.as_bool();
     } else if (key == "max_busy_windows") {
       const long long v = field.as_int();
       WHARF_EXPECT(v >= 1, "max_busy_windows must be >= 1, got " << v);

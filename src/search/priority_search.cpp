@@ -135,7 +135,7 @@ PipelineEvaluator::~PipelineEvaluator() = default;
 
 const System& PipelineEvaluator::base() const { return base_; }
 
-Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int ilp_jobs) {
+Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
   // Candidate = delta batch: one SetPriorityDelta per task the candidate
   // moves off the base assignment.  speculate() opens the candidate's
   // own store epoch — artifacts resolved by *earlier* candidates (or
@@ -152,7 +152,7 @@ Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int 
       deltas.push_back(SetPriorityDelta{task_names_[i], priorities[i]});
     }
   }
-  Session candidate = session_->speculate(deltas, ilp_jobs);
+  Session candidate = session_->speculate(deltas);
 
   Objective obj;
   for (const int c : targets_) {
@@ -179,19 +179,13 @@ Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int 
   return obj;
 }
 
-Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
-  return score(priorities, jobs_);
-}
-
 std::vector<Objective> PipelineEvaluator::evaluate_many(
     const std::vector<std::vector<Priority>>& candidates) {
   std::vector<Objective> scores(candidates.size());
-  // Parallelism across candidates, not inside one candidate's ILP: each
-  // index writes its own slot and a candidate's objective is a pure
+  // Each index writes its own slot and a candidate's objective is a pure
   // function of its priorities, so scores are identical for any jobs.
-  util::parallel_for_index(candidates.size(), jobs_, [&](std::size_t i) {
-    scores[i] = score(candidates[i], /*ilp_jobs=*/1);
-  });
+  util::parallel_for_index(candidates.size(), jobs_,
+                           [&](std::size_t i) { scores[i] = evaluate(candidates[i]); });
   return scores;
 }
 

@@ -143,8 +143,6 @@ class PipelineEvaluator final : public Evaluator {
   [[nodiscard]] EvaluatorStats stats() const override;
 
  private:
-  [[nodiscard]] Objective score(const std::vector<Priority>& priorities, int ilp_jobs);
-
   System base_;
   EvaluationSpec spec_;
   std::vector<int> targets_;

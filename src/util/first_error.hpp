@@ -1,9 +1,8 @@
 /// \file first_error.hpp
-/// First-exception collector for fork-join workers: each worker wraps
-/// its body in capture(), the fork-join caller rethrows after the join.
-/// Replaces the `std::exception_ptr + mutex` pair parallel_for_index and
-/// work_steal_for_index used to duplicate, with the locking discipline
-/// annotated (util/mutex.hpp) instead of implicit.
+/// First-exception collector for fork-join workers: each worker of
+/// parallel_for_index (worker_pool.hpp) wraps its body in capture(), and
+/// the caller rethrows after the join.  The locking discipline is
+/// annotated (util/mutex.hpp).
 
 #ifndef WHARF_UTIL_FIRST_ERROR_HPP
 #define WHARF_UTIL_FIRST_ERROR_HPP

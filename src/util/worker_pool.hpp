@@ -1,7 +1,9 @@
 /// \file worker_pool.hpp
 /// A small fork-join worker pool for embarrassingly parallel index
-/// ranges.  The Engine uses it to evaluate independent queries
-/// (chains x k-grids x systems) concurrently under a --jobs knob.
+/// ranges, and wharf's only fork-join helper.  The Engine uses it to
+/// evaluate independent queries (chains x k-grids x systems)
+/// concurrently under a --jobs knob; the search evaluator uses it to
+/// score a neighborhood's candidates.
 ///
 /// Determinism contract: parallel_for_index(n, body) invokes body(i)
 /// exactly once for every i in [0, n); bodies write to disjoint,
@@ -20,10 +22,11 @@ namespace wharf::util {
 [[nodiscard]] int hardware_jobs();
 
 /// Runs body(0), ..., body(n-1), distributing indices over `jobs`
-/// threads (atomic work stealing).  jobs <= 1 runs inline on the caller
-/// thread; jobs == 0 uses hardware_jobs().  The first exception thrown
-/// by any body is rethrown on the caller thread after all workers have
-/// drained (bodies that already started still complete).
+/// threads, which claim them from one shared atomic counter.  jobs <= 1
+/// runs inline on the caller thread; jobs == 0 uses hardware_jobs().
+/// The first exception thrown by any body is rethrown on the caller
+/// thread after all workers have drained (bodies that already started
+/// still complete).
 void parallel_for_index(std::size_t n, int jobs,
                         const std::function<void(std::size_t)>& body);
 

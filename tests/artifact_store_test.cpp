@@ -34,17 +34,17 @@ TEST(ArtifactStore, LookupMissThenInsertThenHit) {
 TEST(ArtifactStore, StagesDoNotCollide) {
   ArtifactStore store;
   store.insert(ArtifactStage::kBusyWindow, "same-key", payload(1), 10);
-  store.insert(ArtifactStage::kIlp, "same-key", payload(2), 10);
+  store.insert(ArtifactStage::kDmmCurve, "same-key", payload(2), 10);
   EXPECT_EQ(payload_value(*store.lookup(ArtifactStage::kBusyWindow, "same-key")), 1);
-  EXPECT_EQ(payload_value(*store.lookup(ArtifactStage::kIlp, "same-key")), 2);
+  EXPECT_EQ(payload_value(*store.lookup(ArtifactStage::kDmmCurve, "same-key")), 2);
 }
 
 TEST(ArtifactStore, FirstInsertionWins) {
   ArtifactStore store;
-  store.insert(ArtifactStage::kIlp, "k", payload(1), 10);
-  store.insert(ArtifactStage::kIlp, "k", payload(2), 10);
-  EXPECT_EQ(payload_value(*store.lookup(ArtifactStage::kIlp, "k")), 1);
-  EXPECT_EQ(store.stats().stage[static_cast<int>(ArtifactStage::kIlp)].insertions, 1u);
+  store.insert(ArtifactStage::kDmmCurve, "k", payload(1), 10);
+  store.insert(ArtifactStage::kDmmCurve, "k", payload(2), 10);
+  EXPECT_EQ(payload_value(*store.lookup(ArtifactStage::kDmmCurve, "k")), 1);
+  EXPECT_EQ(store.stats().stage[static_cast<int>(ArtifactStage::kDmmCurve)].insertions, 1u);
 }
 
 TEST(ArtifactStore, EpochClassifiesHits) {
@@ -70,13 +70,13 @@ TEST(ArtifactStore, EvictsLeastRecentlyUsedToBudget) {
   // Three 40-byte artifacts against a budget fitting roughly two
   // (charged weight includes the key bytes).
   ArtifactStore store{/*byte_budget=*/100};
-  store.insert(ArtifactStage::kIlp, "a", payload(1), 40);
-  store.insert(ArtifactStage::kIlp, "b", payload(2), 40);
-  EXPECT_TRUE(store.lookup(ArtifactStage::kIlp, "a").has_value());  // bump a over b
-  store.insert(ArtifactStage::kIlp, "c", payload(3), 40);           // evicts b (LRU)
-  EXPECT_TRUE(store.lookup(ArtifactStage::kIlp, "a").has_value());
-  EXPECT_FALSE(store.lookup(ArtifactStage::kIlp, "b").has_value());
-  EXPECT_TRUE(store.lookup(ArtifactStage::kIlp, "c").has_value());
+  store.insert(ArtifactStage::kDmmCurve, "a", payload(1), 40);
+  store.insert(ArtifactStage::kDmmCurve, "b", payload(2), 40);
+  EXPECT_TRUE(store.lookup(ArtifactStage::kDmmCurve, "a").has_value());  // bump a over b
+  store.insert(ArtifactStage::kDmmCurve, "c", payload(3), 40);           // evicts b (LRU)
+  EXPECT_TRUE(store.lookup(ArtifactStage::kDmmCurve, "a").has_value());
+  EXPECT_FALSE(store.lookup(ArtifactStage::kDmmCurve, "b").has_value());
+  EXPECT_TRUE(store.lookup(ArtifactStage::kDmmCurve, "c").has_value());
   const auto stats = store.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.resident_bytes, 100u);
@@ -85,7 +85,7 @@ TEST(ArtifactStore, EvictsLeastRecentlyUsedToBudget) {
 TEST(ArtifactStore, UnlimitedBudgetNeverEvicts) {
   ArtifactStore store{/*byte_budget=*/0};
   for (int i = 0; i < 100; ++i) {
-    store.insert(ArtifactStage::kIlp, "k" + std::to_string(i), payload(i), 1 << 16);
+    store.insert(ArtifactStage::kDmmCurve, "k" + std::to_string(i), payload(i), 1 << 16);
   }
   EXPECT_EQ(store.stats().resident_entries, 100u);
   EXPECT_EQ(store.stats().evictions, 0u);
@@ -96,7 +96,6 @@ TEST(ArtifactStore, StageNames) {
   EXPECT_STREQ(to_string(ArtifactStage::kBusyWindow), "busy_window");
   EXPECT_STREQ(to_string(ArtifactStage::kOverload), "overload");
   EXPECT_STREQ(to_string(ArtifactStage::kDmmCurve), "dmm_curve");
-  EXPECT_STREQ(to_string(ArtifactStage::kIlp), "ilp");
 }
 
 // ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ TEST(Engine, JsonReportCarriesStatusAndDiagnostics) {
   EXPECT_NE(json.find("\"cache_misses\":"), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"busy_window\""), std::string::npos);
-  EXPECT_NE(json.find("\"ilp\""), std::string::npos);
+  EXPECT_NE(json.find("\"dmm_curve\""), std::string::npos);
   EXPECT_NE(json.find("\"system_hash\""), std::string::npos);
 }
 
@@ -473,13 +473,12 @@ TEST(Engine, PathQueriesShareArtifactsWithPlainQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing ILP split determinism through the engine
+// Parallel query determinism on packings with independent item groups
 // ---------------------------------------------------------------------------
 
-TEST(Engine, ParallelIlpSplitBitIdenticalToSequential) {
-  // Two overload chains give the packing real decomposable structure;
-  // the full standard request plus a dense dmm grid exercises the ILP
-  // stage repeatedly.
+TEST(Engine, ParallelQueriesBitIdenticalToSequential) {
+  // Two overload chains give the packings independent item groups; the
+  // full standard request plus a dense dmm grid solves many of them.
   gen::RandomSystemSpec spec;
   spec.min_chains = 3;
   spec.max_chains = 4;

@@ -204,73 +204,9 @@ TEST_P(PackingRandomCross, IlpMatchesDfs) {
   const PackingSolution a = solve_packing_ilp(p);
   const PackingSolution b = solve_packing_dfs(p);
   EXPECT_EQ(a.total, b.total) << "seed " << GetParam();
-
-  // The decomposed solver is exact too, for every worker count, and the
-  // work-stealing schedule never changes the assembled solution.
-  const PackingSolution split1 = solve_packing_split(p, 1);
-  const PackingSolution split4 = solve_packing_split(p, 4);
-  EXPECT_EQ(split1.total, a.total) << "seed " << GetParam();
-  EXPECT_EQ(split4.total, split1.total) << "seed " << GetParam();
-  EXPECT_EQ(split4.counts, split1.counts) << "seed " << GetParam();
-  EXPECT_EQ(split4.nodes, split1.nodes) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingRandomCross, ::testing::Range(0, 60));
-
-// ---------------------------------------------------------------------------
-// Partitioned (work-stealing) packing solve
-// ---------------------------------------------------------------------------
-
-TEST(PackingPartition, DisjointItemsSplitIntoSingletons) {
-  PackingProblem p;
-  p.capacities = {2, 3, 4};
-  p.item_resources = {{0}, {1}, {2}};
-  const PackingPartition partition = partition_packing(p);
-  ASSERT_EQ(partition.subproblems.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(partition.subproblems[s].item_resources.size(), 1u);
-    EXPECT_EQ(partition.item_map[s], std::vector<std::size_t>{s});
-  }
-  // Dense renumbering: each singleton sees exactly its own resource.
-  EXPECT_EQ(partition.subproblems[1].capacities, std::vector<Count>{3});
-  EXPECT_EQ(partition.subproblems[1].item_resources[0], std::vector<int>{0});
-}
-
-TEST(PackingPartition, SharedResourceCouplesTransitively) {
-  // 0-1 share r1, 1-2 share r2: one component; 3 is alone.
-  PackingProblem p;
-  p.capacities = {5, 5, 5, 5};
-  p.item_resources = {{0, 1}, {1, 2}, {2}, {3}};
-  const PackingPartition partition = partition_packing(p);
-  ASSERT_EQ(partition.subproblems.size(), 2u);
-  EXPECT_EQ(partition.item_map[0], (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(partition.item_map[1], std::vector<std::size_t>{3});
-}
-
-TEST(PackingPartition, SplitSolveMatchesWholeProblem) {
-  PackingProblem p;
-  p.capacities = {4, 3, 5, 2};
-  p.item_resources = {{0, 1}, {1}, {2}, {2, 3}, {3}};
-  const PackingSolution whole = solve_packing_ilp(p);
-  const PackingSolution split = solve_packing_split(p, 4);
-  EXPECT_EQ(split.total, whole.total);
-  // Feasibility of the assembled counts.
-  std::vector<Count> used(p.capacities.size(), 0);
-  for (std::size_t i = 0; i < p.item_resources.size(); ++i) {
-    for (int r : p.item_resources[i]) used[static_cast<std::size_t>(r)] += split.counts[i];
-  }
-  for (std::size_t r = 0; r < used.size(); ++r) EXPECT_LE(used[r], p.capacities[r]);
-}
-
-TEST(PackingPartition, SplitHandlesEmptyAndDfs) {
-  PackingProblem empty;
-  EXPECT_EQ(solve_packing_split(empty, 4).total, 0);
-
-  PackingProblem p;
-  p.capacities = {3, 2};
-  p.item_resources = {{0}, {1}, {0, 1}};
-  EXPECT_EQ(solve_packing_split(p, 2, /*use_dfs=*/true).total, solve_packing_ilp(p).total);
-}
 
 }  // namespace
 }  // namespace wharf::ilp

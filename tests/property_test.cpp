@@ -204,15 +204,13 @@ TEST_P(RandomSystemProperties, DfsAndIlpPackersAgree) {
   spec.overload_chains = 2;
   const System sys = gen::random_system(spec, rng);
 
-  TwcaOptions ilp_opts;
-  TwcaOptions dfs_opts;
-  dfs_opts.use_dfs_packer = true;
-  TwcaAnalyzer ilp_an{sys, ilp_opts};
-  TwcaAnalyzer dfs_an{sys, dfs_opts};
+  const TwcaAnalyzer analyzer{sys};
   for (int c : sys.regular_indices()) {
+    const DmmStages stages = analyzer.dmm_stages(c);
     for (Count k : {1, 7, 30}) {
-      EXPECT_EQ(ilp_an.dmm(c, k).dmm, dfs_an.dmm(c, k).dmm)
-          << "chain " << sys.chain(c).name() << " k=" << k;
+      const DmmResult dfs = dmm_from_artifacts(sys, c, stages.latency, stages.artifacts, k,
+                                               analyzer.options(), ilp::solve_packing_dfs);
+      EXPECT_EQ(analyzer.dmm(c, k).dmm, dfs.dmm) << "chain " << sys.chain(c).name() << " k=" << k;
     }
   }
 }

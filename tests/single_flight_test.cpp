@@ -23,16 +23,15 @@
 namespace wharf {
 namespace {
 
-constexpr std::size_t kIlpStage = static_cast<std::size_t>(static_cast<int>(ArtifactStage::kIlp));
-constexpr std::size_t kDmmStage =
-    static_cast<std::size_t>(static_cast<int>(ArtifactStage::kDmmCurve));
+constexpr ArtifactStage kDmm = ArtifactStage::kDmmCurve;
+constexpr std::size_t kDmmStage = static_cast<std::size_t>(static_cast<int>(kDmm));
 
 std::pair<std::shared_ptr<const void>, std::size_t> payload(int value) {
   return {std::make_shared<const int>(value), sizeof(int)};
 }
 
-std::size_t ilp_flights_shared(const ArtifactStore& store) {
-  return store.stats().stage[kIlpStage].flights_shared;
+std::size_t dmm_flights_shared(const ArtifactStore& store) {
+  return store.stats().stage[kDmmStage].flights_shared;
 }
 
 TEST(SingleFlight, ExactlyOneComputeAndNMinusOneShares) {
@@ -45,11 +44,11 @@ TEST(SingleFlight, ExactlyOneComputeAndNMinusOneShares) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const ArtifactStore::Resolved resolved = store.resolve(ArtifactStage::kIlp, "key", [&] {
+      const ArtifactStore::Resolved resolved = store.resolve(kDmm, "key", [&] {
         ++computes;
         // Hold the flight open until every other thread has joined it:
         // the 1-miss/N-1-shared split below is exact, not a race.
-        while (ilp_flights_shared(store) < kThreads - 1) std::this_thread::yield();
+        while (dmm_flights_shared(store) < kThreads - 1) std::this_thread::yield();
         return payload(42);
       });
       sources[static_cast<std::size_t>(t)] = resolved.source;
@@ -68,28 +67,28 @@ TEST(SingleFlight, ExactlyOneComputeAndNMinusOneShares) {
   EXPECT_EQ(computed, 1);
   EXPECT_EQ(shared, kThreads - 1);
   const ArtifactStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.stage[kIlpStage].insertions, 1u);
-  EXPECT_EQ(stats.stage[kIlpStage].flights_shared, static_cast<std::size_t>(kThreads - 1));
+  EXPECT_EQ(stats.stage[kDmmStage].insertions, 1u);
+  EXPECT_EQ(stats.stage[kDmmStage].flights_shared, static_cast<std::size_t>(kThreads - 1));
 }
 
 TEST(SingleFlight, ResidentArtifactNeverOpensAFlight) {
   ArtifactStore store;
-  store.insert(ArtifactStage::kIlp, "key", payload(7).first, 16);
-  const ArtifactStore::Resolved resolved = store.resolve(ArtifactStage::kIlp, "key", [&] {
+  store.insert(kDmm, "key", payload(7).first, 16);
+  const ArtifactStore::Resolved resolved = store.resolve(kDmm, "key", [&] {
     ADD_FAILURE() << "compute must not run for a resident artifact";
     return payload(0);
   });
   EXPECT_EQ(resolved.source, ArtifactStore::ResolveSource::kResident);
   EXPECT_EQ(*static_cast<const int*>(resolved.value.get()), 7);
-  EXPECT_EQ(ilp_flights_shared(store), 0u);
+  EXPECT_EQ(dmm_flights_shared(store), 0u);
 }
 
 TEST(SingleFlight, SequentialResolveComputesThenFindsResident) {
   ArtifactStore store;
-  const auto first = store.resolve(ArtifactStage::kIlp, "key", [&] { return payload(3); });
+  const auto first = store.resolve(kDmm, "key", [&] { return payload(3); });
   EXPECT_EQ(first.source, ArtifactStore::ResolveSource::kComputed);
   EXPECT_EQ(first.weight, sizeof(int));
-  const auto second = store.resolve(ArtifactStage::kIlp, "key", [&] { return payload(99); });
+  const auto second = store.resolve(kDmm, "key", [&] { return payload(99); });
   EXPECT_EQ(second.source, ArtifactStore::ResolveSource::kResident);
   EXPECT_EQ(*static_cast<const int*>(second.value.get()), 3);
 }
@@ -101,10 +100,10 @@ TEST(SingleFlight, ComputeErrorReachesEveryWaiterAndRetiresTheFlight) {
 
   std::thread owner([&] {
     EXPECT_THROW(
-        (void)store.resolve(ArtifactStage::kIlp, "key",
+        (void)store.resolve(kDmm, "key",
                             [&]() -> std::pair<std::shared_ptr<const void>, std::size_t> {
                               flight_open = true;
-                              while (ilp_flights_shared(store) < 1) std::this_thread::yield();
+                              while (dmm_flights_shared(store) < 1) std::this_thread::yield();
                               throw std::runtime_error("boom");
                             }),
         std::runtime_error);
@@ -114,7 +113,7 @@ TEST(SingleFlight, ComputeErrorReachesEveryWaiterAndRetiresTheFlight) {
     // Join only once the owner's flight is provably open, so this
     // thread deterministically shares the failing computation.
     while (!flight_open) std::this_thread::yield();
-    EXPECT_THROW((void)store.resolve(ArtifactStage::kIlp, "key", [&] { return payload(1); }),
+    EXPECT_THROW((void)store.resolve(kDmm, "key", [&] { return payload(1); }),
                  std::runtime_error);
     ++failures;
   });
@@ -123,7 +122,7 @@ TEST(SingleFlight, ComputeErrorReachesEveryWaiterAndRetiresTheFlight) {
   EXPECT_EQ(failures.load(), 2);
 
   // The flight retired with its error: a later resolve computes afresh.
-  const auto retry = store.resolve(ArtifactStage::kIlp, "key", [&] { return payload(5); });
+  const auto retry = store.resolve(kDmm, "key", [&] { return payload(5); });
   EXPECT_EQ(retry.source, ArtifactStore::ResolveSource::kComputed);
   EXPECT_EQ(*static_cast<const int*>(retry.value.get()), 5);
 }

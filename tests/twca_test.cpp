@@ -331,12 +331,14 @@ TEST(Twca, ExactCriterionNeverPessimizes) {
 }
 
 TEST(Twca, DfsPackerMatchesIlpPacker) {
-  TwcaOptions dfs_options;
-  dfs_options.use_dfs_packer = true;
-  TwcaAnalyzer ilp_analyzer{date17_case_study(OverloadModel::kRareOverload)};
-  TwcaAnalyzer dfs_analyzer{date17_case_study(OverloadModel::kRareOverload), dfs_options};
+  // The DFS cross-check reaches dmm_from_artifacts through its solver seam.
+  const TwcaAnalyzer analyzer{date17_case_study(OverloadModel::kRareOverload)};
+  const DmmStages stages = analyzer.dmm_stages(kSigmaC);
   for (Count k : {1, 3, 76, 250}) {
-    EXPECT_EQ(ilp_analyzer.dmm(kSigmaC, k).dmm, dfs_analyzer.dmm(kSigmaC, k).dmm) << "k=" << k;
+    const DmmResult dfs = dmm_from_artifacts(analyzer.system(), kSigmaC, stages.latency,
+                                             stages.artifacts, k, analyzer.options(),
+                                             ilp::solve_packing_dfs);
+    EXPECT_EQ(analyzer.dmm(kSigmaC, k).dmm, dfs.dmm) << "k=" << k;
   }
 }
 

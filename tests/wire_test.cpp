@@ -140,7 +140,7 @@ TEST(WireOptions, OpenSessionCarriesTwcaOptions) {
   const Expected<WireRequest> r = parse_request(
       R"({"type":"open_session","session":"s","system":"system x",)"
       R"("options":{"criterion":"exact_eq3","max_combinations":1234,"minimal_only":false,)"
-      R"("cap_at_k":false,"use_dfs_packer":true,"max_busy_windows":7,)"
+      R"("cap_at_k":false,"max_busy_windows":7,)"
       R"("max_fixed_point_iterations":99,"divergence_guard":1000,"naive_arbitrary":true}})");
   ASSERT_TRUE(r) << r.status().to_string();
   const TwcaOptions& o = r.value().options;
@@ -148,7 +148,6 @@ TEST(WireOptions, OpenSessionCarriesTwcaOptions) {
   EXPECT_EQ(o.max_combinations, 1234u);
   EXPECT_FALSE(o.minimal_only);
   EXPECT_FALSE(o.cap_at_k);
-  EXPECT_TRUE(o.use_dfs_packer);
   EXPECT_EQ(o.analysis.max_busy_windows, 7);
   EXPECT_EQ(o.analysis.max_fixed_point_iterations, 99);
   EXPECT_EQ(o.analysis.divergence_guard, 1000);
@@ -168,13 +167,12 @@ TEST(WireOptions, OpenSessionCarriesTwcaOptions) {
 TEST(WireOptions, ParsesEveryTwcaOptionsField) {
   const TwcaOptions parsed = parse_twca_options(parse_json(
       R"({"criterion":"exact_eq3","max_combinations":4321,"minimal_only":false,)"
-      R"("cap_at_k":false,"use_dfs_packer":true,"max_busy_windows":11,)"
+      R"("cap_at_k":false,"max_busy_windows":11,)"
       R"("max_fixed_point_iterations":22,"divergence_guard":3333,"naive_arbitrary":true})"));
   EXPECT_EQ(parsed.criterion, SchedulabilityCriterion::kExactEq3);
   EXPECT_EQ(parsed.max_combinations, 4321u);
   EXPECT_FALSE(parsed.minimal_only);
   EXPECT_FALSE(parsed.cap_at_k);
-  EXPECT_TRUE(parsed.use_dfs_packer);
   EXPECT_EQ(parsed.analysis.max_busy_windows, 11);
   EXPECT_EQ(parsed.analysis.max_fixed_point_iterations, 22);
   EXPECT_EQ(parsed.analysis.divergence_guard, 3333);
@@ -187,7 +185,6 @@ TEST(WireOptions, ParsesEveryTwcaOptionsField) {
   EXPECT_EQ(defaults.max_combinations, expected.max_combinations);
   EXPECT_EQ(defaults.minimal_only, expected.minimal_only);
   EXPECT_EQ(defaults.cap_at_k, expected.cap_at_k);
-  EXPECT_EQ(defaults.use_dfs_packer, expected.use_dfs_packer);
   EXPECT_EQ(defaults.analysis.max_busy_windows, expected.analysis.max_busy_windows);
   EXPECT_EQ(defaults.analysis.max_fixed_point_iterations,
             expected.analysis.max_fixed_point_iterations);
@@ -209,6 +206,23 @@ TEST(WireOptions, RejectsUnknownOrInvalidOptionFields) {
     ASSERT_FALSE(r.has_value()) << c.line;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.line;
   }
+}
+
+TEST(WireOptions, RetiredDfsPackerOptionGetsAnInvalidArgumentEnvelope) {
+  // The packing solver is not an analysis option: the key is rejected
+  // like any other unknown one, as an error envelope on the stream.
+  Engine engine;
+  std::istringstream in(
+      R"({"id":1,"type":"open_session","session":"s","system":"system x\nchain a kind=sync )"
+      R"(activation=periodic(100) deadline=90\n  task a1 prio=1 wcet=10\n",)"
+      R"("options":{"use_dfs_packer":true}})"
+      "\n");
+  std::ostringstream out;
+  EXPECT_FALSE(cli::serve_stream(engine, in, out));
+  EXPECT_EQ(out.str(),
+            R"({"type":"error","status":"invalid-argument",)"
+            R"("reason":"unknown analysis option 'use_dfs_packer'"})"
+            "\n");
 }
 
 TEST(WireRequests, MalformedRequestsAreStatusesNotThrows) {
