@@ -95,8 +95,7 @@ SweepOutcome run_sweep(const std::vector<System>& sweep, bool persistent) {
 }
 
 void emit_bench_json(const char* variant, int systems, const SweepOutcome& o, double speedup) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("cache_effectiveness");
@@ -125,7 +124,7 @@ void emit_bench_json(const char* variant, int systems, const SweepOutcome& o, do
   }
   w.end_object();
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 void print_tables() {

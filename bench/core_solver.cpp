@@ -21,7 +21,6 @@
 
 #include <iostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -115,8 +114,7 @@ SweepOutcome run_sweep(const std::vector<System>& candidates, bool flat) {
 
 void emit_bench_json(const char* variant, const SweepOutcome& o, double speedup,
                      bool identical) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("core_solver");
@@ -133,7 +131,7 @@ void emit_bench_json(const char* variant, const SweepOutcome& o, double speedup,
   w.key("identical_to_reference");
   w.value(identical);
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 void print_tables() {

@@ -27,7 +27,6 @@
 
 #include <iostream>
 #include <random>
-#include <sstream>
 
 #include "core/case_studies.hpp"
 #include "engine/engine.hpp"
@@ -124,8 +123,7 @@ Outcome run_warm(const System& sys, int jobs) {
 }
 
 void emit_bench_json(const char* variant, const Outcome& o, double speedup, bool identical) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("priority_search");
@@ -165,7 +163,7 @@ void emit_bench_json(const char* variant, const Outcome& o, double speedup, bool
   w.key("speedup_vs_cold");
   w.value(speedup);
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 void print_warm_vs_cold() {

@@ -282,8 +282,7 @@ Outcome run_async(int clients, const std::string& oracle_results) {
 }
 
 void emit_bench_json(const char* variant, const Outcome& o) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("serve_async");
@@ -308,7 +307,7 @@ void emit_bench_json(const char* variant, const Outcome& o) {
   w.key("identical_to_serialized");
   w.value(o.identical);
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 /// Integer environment override (WHARF_BENCH_CLIENTS trims the run on

@@ -242,8 +242,7 @@ Outcome run_serialized(const std::vector<std::string>& conversation, int clients
 
 void emit_bench_json(const char* variant, int clients, const Outcome& o, bool identical,
                      double solve_ratio, std::size_t cross_connection_reuse) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("serve_concurrent");
@@ -268,7 +267,7 @@ void emit_bench_json(const char* variant, int clients, const Outcome& o, bool id
   w.key("solve_ratio_vs_serialized");
   w.value(solve_ratio);
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 void print_tables() {

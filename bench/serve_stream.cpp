@@ -182,8 +182,7 @@ StreamOutcome run_cold(const System& base,
 
 void emit_bench_json(const char* variant, const StreamOutcome& o, double speedup,
                      bool identical) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+  io::JsonWriter w;
   w.begin_object();
   w.key("name");
   w.value("serve_stream");
@@ -202,7 +201,7 @@ void emit_bench_json(const char* variant, const StreamOutcome& o, double speedup
   w.key("speedup_vs_cold");
   w.value(speedup);
   w.end_object();
-  std::cout << "BENCH " << os.str() << '\n';
+  std::cout << "BENCH " << w.str() << '\n';
 }
 
 void print_tables() {

@@ -14,7 +14,6 @@
 #include "engine/engine.hpp"
 #include "search/priority_search.hpp"
 #include "io/gantt.hpp"
-#include "io/json.hpp"
 #include "io/report.hpp"
 #include "io/system_format.hpp"
 #include "io/tables.hpp"
@@ -51,9 +50,10 @@ any subcommand accepts --help (print this text, exit 0).
 exit codes: 0 ok; 1 usage error; 2 input error; 3 analysis gave no guarantee.
 
 serve: a long-lived NDJSON request/response loop over stdin/stdout, or a
-127.0.0.1 TCP socket with --listen (port 0 picks one) serving multiple
-concurrent connections — one thread per connection, at most
---max-connections at a time (default: hardware threads), all sharing one
+127.0.0.1 TCP socket with --listen (port 0 picks one) serving any number
+of concurrent connections on one event loop and a fixed worker pool, with
+--max-connections as the in-flight request budget (default: hardware
+threads; at the budget reads pause, nothing is refused), all sharing one
 engine and artifact store — speaking {open_session, apply_delta, query,
 diagnostics, close, shutdown} against incremental analysis sessions
 (spec: docs/serve-protocol.md).

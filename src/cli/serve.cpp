@@ -58,7 +58,7 @@ bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
       if (!request) {
         // A malformed line is a per-request error: answer it and keep
         // the stream alive (the framing is by line, so we are in sync).
-        response = io::wire_protocol_error(request.status());
+        response = io::wire_protocol_error(line, request.status());
       } else if (request.value().kind == io::WireKind::kQuery && request.value().stream) {
         // Streaming runs synchronously here — frames come back-to-back
         // through the same writer (and deadlines never expire, since

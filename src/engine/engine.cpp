@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "engine/session.hpp"
@@ -172,12 +171,6 @@ void write_objective(io::JsonWriter& w, const search::Objective& o) {
   w.end_object();
 }
 
-void write_string_array(io::JsonWriter& w, const std::vector<std::string>& values) {
-  w.begin_array();
-  for (const std::string& v : values) w.value(v);
-  w.end_array();
-}
-
 void write_path_dmm(io::JsonWriter& w, const PathDmmResult& r) {
   w.begin_object();
   w.key("k");
@@ -191,13 +184,9 @@ void write_path_dmm(io::JsonWriter& w, const PathDmmResult& r) {
     w.value(r.reason);
   }
   w.key("budgets");
-  w.begin_array();
-  for (const Time b : r.budgets) w.value(b);
-  w.end_array();
+  io::write_array(w, r.budgets);
   w.key("per_chain");
-  w.begin_array();
-  for (const Count c : r.per_chain) w.value(c);
-  w.end_array();
+  io::write_array(w, r.per_chain);
   w.end_object();
 }
 
@@ -216,16 +205,14 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("without_overload");
           w.value(a.without_overload);
           w.key("latency");
-          w.raw(io::to_json(a.result));
+          io::write_json(w, a.result);
         } else if constexpr (std::is_same_v<A, DmmAnswer>) {
           w.key("query");
           w.value("dmm");
           w.key("chain");
           w.value(a.chain);
           w.key("dmm");
-          w.begin_array();
-          for (const DmmResult& r : a.curve) w.raw(io::to_json(r));
-          w.end_array();
+          io::write_array(w, a.curve);
         } else if constexpr (std::is_same_v<A, WeaklyHardAnswer>) {
           w.key("query");
           w.value("weakly_hard");
@@ -266,9 +253,7 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("validated");
           w.value(a.validated);
           w.key("violations");
-          w.begin_array();
-          for (const std::string& v : a.violations) w.value(v);
-          w.end_array();
+          io::write_array(w, a.violations);
         } else if constexpr (std::is_same_v<A, SearchAnswer>) {
           w.key("query");
           w.value("priority_search");
@@ -279,9 +264,7 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("evaluations");
           w.value(a.result.evaluations);
           w.key("priorities");
-          w.begin_array();
-          for (const Priority p : a.result.best_priorities) w.value(p);
-          w.end_array();
+          io::write_array(w, a.result.best_priorities);
           w.key("store");
           w.begin_object();
           w.key("lookups");
@@ -297,7 +280,7 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("query");
           w.value("path_latency");
           w.key("chains");
-          write_string_array(w, a.chains);
+          io::write_array(w, a.chains);
           w.key("bounded");
           w.value(a.result.bounded);
           if (!a.result.reason.empty()) {
@@ -307,14 +290,12 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("wcl");
           w.value(a.result.wcl);
           w.key("per_chain_wcl");
-          w.begin_array();
-          for (const Time t : a.result.per_chain_wcl) w.value(t);
-          w.end_array();
+          io::write_array(w, a.result.per_chain_wcl);
         } else if constexpr (std::is_same_v<A, PathDmmAnswer>) {
           w.key("query");
           w.value("path_dmm");
           w.key("chains");
-          write_string_array(w, a.chains);
+          io::write_array(w, a.chains);
           w.key("dmm");
           w.begin_array();
           for (const PathDmmResult& r : a.curve) write_path_dmm(w, r);
@@ -324,7 +305,9 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
       result.answer);
 }
 
-void write_result(io::JsonWriter& w, const QueryResult& result) {
+}  // namespace
+
+void write_json(io::JsonWriter& w, const QueryResult& result) {
   w.begin_object();
   if (result.ok()) {
     write_answer(w, result);
@@ -333,15 +316,13 @@ void write_result(io::JsonWriter& w, const QueryResult& result) {
   w.end_object();
 }
 
-void write_report_diagnostics(io::JsonWriter& w, const ReportDiagnostics& diagnostics) {
+void write_json(io::JsonWriter& w, const ReportDiagnostics& diagnostics) {
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(diagnostics.system_hash));
   w.begin_object();
   w.key("system_hash");
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(diagnostics.system_hash));
-    w.value(std::string(buf));
-  }
+  w.value(hash);
   w.key("cache_hit");
   w.value(diagnostics.cache_hit);
   w.key("cache_hits");
@@ -387,39 +368,22 @@ void write_report_diagnostics(io::JsonWriter& w, const ReportDiagnostics& diagno
   w.end_object();
 }
 
-}  // namespace
-
-std::string to_json(const QueryResult& result) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
-  write_result(w, result);
-  return os.str();
-}
-
-std::string to_json(const ReportDiagnostics& diagnostics) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
-  write_report_diagnostics(w, diagnostics);
-  return os.str();
-}
-
-std::string to_json(const AnalysisReport& report) {
-  std::ostringstream os;
-  io::JsonWriter w(os);
+void write_json(io::JsonWriter& w, const AnalysisReport& report) {
   w.begin_object();
   w.key("system");
   w.value(report.system);
   write_status(w, report.worst_status());
   w.key("results");
-  w.begin_array();
-  for (const QueryResult& result : report.results) {
-    write_result(w, result);
-  }
-  w.end_array();
+  io::write_array(w, report.results);
   w.key("diagnostics");
-  write_report_diagnostics(w, report.diagnostics);
+  write_json(w, report.diagnostics);
   w.end_object();
-  return os.str();
+}
+
+std::string to_json(const AnalysisReport& report) {
+  io::JsonWriter w;
+  write_json(w, report);
+  return w.take();
 }
 
 }  // namespace wharf

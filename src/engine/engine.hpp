@@ -42,6 +42,7 @@
 #include "core/twca.hpp"
 #include "engine/artifact_store.hpp"
 #include "engine/pipeline.hpp"
+#include "io/json.hpp"
 #include "search/priority_search.hpp"
 #include "sim/simulator.hpp"
 #include "util/status.hpp"
@@ -272,18 +273,17 @@ struct AnalysisReport {
   [[nodiscard]] Status worst_status() const;
 };
 
-/// Serializes a report (results + diagnostics) as JSON.  Deterministic:
-/// equal reports serialize identically regardless of the jobs knob.
+/// Write a report (results + diagnostics), one of its results, or its
+/// diagnostics as a JSON object.  Deterministic regardless of the jobs
+/// knob.  `wharf analyze --json` prints the report object; the serve
+/// `query` response, its streamed result frames and its summary frame
+/// carry the same bytes as the report and its parts.
+void write_json(io::JsonWriter& w, const AnalysisReport& report);
+void write_json(io::JsonWriter& w, const QueryResult& result);
+void write_json(io::JsonWriter& w, const ReportDiagnostics& diagnostics);
+
+/// The report as one JSON string: write_json into a fresh writer.
 [[nodiscard]] std::string to_json(const AnalysisReport& report);
-
-/// Serializes one result exactly as it appears inside a report's
-/// "results" array — the streaming serve path emits per-result frames
-/// that are bit-identical to the corresponding monolithic report entry.
-[[nodiscard]] std::string to_json(const QueryResult& result);
-
-/// Serializes the diagnostics object exactly as it appears inside a
-/// report (the streaming terminal-summary frame embeds it verbatim).
-[[nodiscard]] std::string to_json(const ReportDiagnostics& diagnostics);
 
 // ---------------------------------------------------------------------
 // Engine

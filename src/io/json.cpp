@@ -1,28 +1,26 @@
 #include "io/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <cstdint>
 
 #include "util/expect.hpp"
 
 namespace wharf::io {
 
-void JsonWriter::prefix() {
-  if (pending_key_) {
-    pending_key_ = false;
-    return;
-  }
-  if (!needs_comma_.empty()) {
-    if (needs_comma_.back()) os_ << ',';
-    needs_comma_.back() = true;
-  }
-}
+namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
+/// Appends `text` to `out` with JSON string escaping: the named escapes
+/// for `"`, `\`, newline, carriage return and tab, `\u00XX` for every
+/// other control byte; everything else (UTF-8 included) passes through.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -30,90 +28,88 @@ std::string json_escape(const std::string& text) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
+  out.append(text, run);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  append_escaped(out, text);
   return out;
 }
 
-void JsonWriter::write_string(const std::string& s) { os_ << '"' << json_escape(s) << '"'; }
+void JsonWriter::prefix() {
+  if (pending_key_) {
+    pending_key_ = false;
+    return;
+  }
+  if (!needs_comma_.empty()) {
+    if (needs_comma_.back()) out_ += ',';
+    needs_comma_.back() = true;
+  }
+}
 
-void JsonWriter::begin_object() {
+void JsonWriter::open(char bracket) {
   prefix();
-  os_ << '{';
+  out_ += bracket;
   needs_comma_.push_back(false);
 }
 
-void JsonWriter::end_object() {
+void JsonWriter::close(char bracket) {
   WHARF_ASSERT(!needs_comma_.empty());
   needs_comma_.pop_back();
-  os_ << '}';
+  out_ += bracket;
 }
 
-void JsonWriter::begin_array() {
-  prefix();
-  os_ << '[';
-  needs_comma_.push_back(false);
-}
-
-void JsonWriter::end_array() {
-  WHARF_ASSERT(!needs_comma_.empty());
-  needs_comma_.pop_back();
-  os_ << ']';
-}
-
-void JsonWriter::key(const std::string& k) {
-  prefix();
-  write_string(k);
-  os_ << ':';
+void JsonWriter::key(std::string_view k) {
+  value(k);
+  out_ += ':';
   pending_key_ = true;
 }
 
-void JsonWriter::value(const std::string& v) {
+void JsonWriter::value(std::string_view v) {
   prefix();
-  write_string(v);
+  out_ += '"';
+  append_escaped(out_, v);
+  out_ += '"';
 }
-
-void JsonWriter::value(const char* v) { value(std::string(v)); }
 
 void JsonWriter::value(long long v) {
   prefix();
-  os_ << v;
+  char buf[24];  // INT64_MIN is 20 characters
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void JsonWriter::value(double v) {
   prefix();
-  if (std::isfinite(v)) {
-    os_ << v;
-  } else {
-    os_ << "null";
+  if (!std::isfinite(v)) {
+    out_ += "null";
+    return;
   }
+  // General format at precision 6 is printf's "%g" — what a default
+  // std::ostream prints for a double.
+  char buf[32];  // at most "-1.23457e+308"
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6).ptr);
 }
 
 void JsonWriter::value(bool v) {
   prefix();
-  os_ << (v ? "true" : "false");
+  out_ += v ? "true" : "false";
 }
 
 void JsonWriter::null() {
   prefix();
-  os_ << "null";
+  out_ += "null";
 }
 
-void JsonWriter::raw(const std::string& json) {
-  prefix();
-  os_ << json;
-}
-
-std::string to_json(const LatencyResult& result) {
-  std::ostringstream os;
-  JsonWriter w(os);
+void write_json(JsonWriter& w, const LatencyResult& result) {
   w.begin_object();
   w.key("bounded");
   w.value(result.bounded);
@@ -128,9 +124,7 @@ std::string to_json(const LatencyResult& result) {
     w.key("worst_q");
     w.value(result.worst_q);
     w.key("busy_times");
-    w.begin_array();
-    for (Time b : result.busy_times) w.value(b);
-    w.end_array();
+    write_array(w, result.busy_times);
     if (result.misses_per_window.has_value()) {
       w.key("misses_per_window");
       w.value(*result.misses_per_window);
@@ -139,12 +133,9 @@ std::string to_json(const LatencyResult& result) {
     }
   }
   w.end_object();
-  return os.str();
 }
 
-std::string to_json(const DmmResult& result) {
-  std::ostringstream os;
-  JsonWriter w(os);
+void write_json(JsonWriter& w, const DmmResult& result) {
   w.begin_object();
   w.key("k");
   w.value(result.k);
@@ -165,9 +156,7 @@ std::string to_json(const DmmResult& result) {
   w.key("slack");
   w.value(result.slack);
   w.key("omegas");
-  w.begin_array();
-  for (Count o : result.omegas) w.value(o);
-  w.end_array();
+  write_array(w, result.omegas);
   w.key("unschedulable_combinations");
   w.value(static_cast<std::int64_t>(result.unschedulable_count));
   w.key("packing_optimum");
@@ -175,7 +164,6 @@ std::string to_json(const DmmResult& result) {
   w.key("solver_nodes");
   w.value(result.solver_nodes);
   w.end_object();
-  return os.str();
 }
 
 }  // namespace wharf::io

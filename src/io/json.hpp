@@ -1,14 +1,15 @@
 /// \file json.hpp
-/// Minimal streaming JSON writer (no external dependencies) plus
-/// converters for the analysis result types.  Used by benchmarks and
-/// examples to emit machine-readable results next to the ASCII tables.
+/// Minimal JSON writer (no external dependencies) plus write_json
+/// overloads for the analysis result types.  Reports, wire responses and
+/// BENCH lines are each written once, front to back, into one
+/// JsonWriter's string.
 
 #ifndef WHARF_IO_JSON_HPP
 #define WHARF_IO_JSON_HPP
 
-#include <cstdint>
-#include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/busy_window.hpp"
@@ -16,25 +17,33 @@
 
 namespace wharf::io {
 
-/// Streaming JSON writer with automatic comma placement and string
-/// escaping.  Usage:
-///   JsonWriter w(os);
+/// JSON writer that appends to a string it owns, with automatic comma
+/// placement and string escaping.  Nested documents are written through
+/// the same writer (write_json overloads), never spliced in as
+/// pre-serialized fragments.  Usage:
+///   JsonWriter w;
 ///   w.begin_object();
 ///   w.key("name"); w.value("sigma_c");
 ///   w.key("values"); w.begin_array(); w.value(1); w.value(2); w.end_array();
 ///   w.end_object();
+///   std::string json = w.take();
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os) : os_(os) {}
+  /// Open an object `{` / array `[` in value position, and close the
+  /// innermost open one.
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  /// Writes an object member's key; the next call writes its value.
+  void key(std::string_view k);
 
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
-  void key(const std::string& k);
-
-  void value(const std::string& v);
-  void value(const char* v);
+  /// Write one value: strings escaped (the const char* overload keeps a
+  /// literal from converting to bool), integers exact, doubles as
+  /// printf("%g") prints them (6 significant digits) with NaN and the
+  /// infinities as `null`.
+  void value(std::string_view v);
+  void value(const char* v) { value(std::string_view(v)); }
   void value(long long v);
   void value(long v) { value(static_cast<long long>(v)); }
   void value(int v) { value(static_cast<long long>(v)); }
@@ -42,15 +51,17 @@ class JsonWriter {
   void value(bool v);
   void null();
 
-  /// Splices a pre-serialized JSON fragment in value position (comma
-  /// placement still handled).  The caller guarantees well-formedness.
-  void raw(const std::string& json);
+  /// The document written so far.
+  [[nodiscard]] const std::string& str() const { return out_; }
+  /// Moves the document out; the writer is spent afterwards.
+  [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
   void prefix();
-  void write_string(const std::string& s);
+  void open(char bracket);
+  void close(char bracket);
 
-  std::ostream& os_;
+  std::string out_;
   /// One frame per open container: true once a first element was emitted.
   std::vector<bool> needs_comma_;
   bool pending_key_ = false;
@@ -59,13 +70,27 @@ class JsonWriter {
 /// Escapes `text` as the body of a JSON string literal (no surrounding
 /// quotes) — the exact escaping JsonWriter applies, control characters
 /// included.  For hand-framed protocol lines (tests, benches, clients).
-[[nodiscard]] std::string json_escape(const std::string& text);
+[[nodiscard]] std::string json_escape(std::string_view text);
 
-/// Serializes a LatencyResult as a JSON object.
-[[nodiscard]] std::string to_json(const LatencyResult& result);
+/// Write a LatencyResult / DmmResult as a JSON object.
+void write_json(JsonWriter& w, const LatencyResult& result);
+void write_json(JsonWriter& w, const DmmResult& result);
 
-/// Serializes a DmmResult as a JSON object.
-[[nodiscard]] std::string to_json(const DmmResult& result);
+/// Writes `values` as a JSON array of documents or scalars.
+template <typename Range>
+void write_array(JsonWriter& w, const Range& values) {
+  w.begin_array();
+  // An element with a write_json overload is a document; anything else
+  // (numbers, strings) goes through JsonWriter::value().
+  for (const auto& v : values) {
+    if constexpr (requires { write_json(w, v); }) {
+      write_json(w, v);
+    } else {
+      w.value(v);
+    }
+  }
+  w.end_array();
+}
 
 }  // namespace wharf::io
 

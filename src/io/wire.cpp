@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "io/system_format.hpp"
 #include "util/expect.hpp"
@@ -72,8 +71,8 @@ bool read_line_bounded(std::istream& in, std::string& line, std::size_t max_line
 }
 
 std::string oversized_line_error(std::size_t max_line_bytes) {
-  return wire_protocol_error(Status::invalid_argument(
-      util::cat("request line exceeds the ", max_line_bytes, "-byte protocol bound")));
+  return wire_protocol_error({}, Status::invalid_argument(util::cat(
+      "request line exceeds the ", max_line_bytes, "-byte protocol bound")));
 }
 
 bool FramedWriter::write_line(const std::string& line) {
@@ -379,6 +378,18 @@ const char* to_string(WireKind kind) {
 
 namespace {
 
+/// The kind a wire `type` names; false for an unknown name.
+bool parse_kind(const std::string& type, WireKind& kind) {
+  for (const WireKind k : {WireKind::kOpenSession, WireKind::kApplyDelta, WireKind::kQuery,
+                           WireKind::kDiagnostics, WireKind::kClose, WireKind::kShutdown}) {
+    if (type == to_string(k)) {
+      kind = k;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<Count> parse_count_array(const JsonValue& value, const char* what) {
   std::vector<Count> out;
   for (const JsonValue& item : value.items()) {
@@ -563,22 +574,10 @@ Expected<WireRequest> parse_request(const std::string& line) {
       request.deadline_ms = v;
     }
     const std::string& type = root.at("type").as_string();
-    if (type == "open_session") {
-      request.kind = WireKind::kOpenSession;
-    } else if (type == "apply_delta") {
-      request.kind = WireKind::kApplyDelta;
-    } else if (type == "query") {
-      request.kind = WireKind::kQuery;
-    } else if (type == "diagnostics") {
-      request.kind = WireKind::kDiagnostics;
-    } else if (type == "close") {
-      request.kind = WireKind::kClose;
-    } else if (type == "shutdown") {
-      request.kind = WireKind::kShutdown;
-      return request;
-    } else {
+    if (!parse_kind(type, request.kind)) {
       throw InvalidArgument(util::cat("unknown request type '", type, "'"));
     }
+    if (request.kind == WireKind::kShutdown) return request;
 
     request.session = root.at("session").as_string();
     WHARF_EXPECT(!request.session.empty(), "session name must not be empty");
@@ -614,16 +613,22 @@ Expected<WireRequest> parse_request(const std::string& line) {
 
 namespace {
 
-void write_envelope(JsonWriter& w, const WireRequest& request, const Status& status) {
-  if (request.has_id) {
+/// Writes the whole response object: the echoed header (`id` when
+/// known, `type`, `session` when non-empty), the status (+ reason when
+/// non-OK), then whatever `extra` adds.
+std::string write_envelope(const WireRequest& header, const char* type, const Status& status,
+                           const std::function<void(JsonWriter&)>& extra) {
+  JsonWriter w;
+  w.begin_object();
+  if (header.has_id) {
     w.key("id");
-    w.value(request.id);
+    w.value(header.id);
   }
   w.key("type");
-  w.value(to_string(request.kind));
-  if (!request.session.empty()) {
+  w.value(type);
+  if (!header.session.empty()) {
     w.key("session");
-    w.value(request.session);
+    w.value(header.session);
   }
   w.key("status");
   w.value(to_string(status.code()));
@@ -631,35 +636,43 @@ void write_envelope(JsonWriter& w, const WireRequest& request, const Status& sta
     w.key("reason");
     w.value(status.message());
   }
+  if (extra) extra(w);
+  w.end_object();
+  return w.take();
 }
 
 }  // namespace
 
 std::string wire_response(const WireRequest& request, const Status& status,
                           const std::function<void(JsonWriter&)>& extra) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  write_envelope(w, request, status);
-  if (extra) extra(w);
-  w.end_object();
-  return os.str();
+  return write_envelope(request, to_string(request.kind), status, extra);
 }
 
-std::string wire_protocol_error(const Status& status) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("type");
-  w.value("error");
-  w.key("status");
-  w.value(to_string(status.code()));
-  if (!status.message().empty()) {
-    w.key("reason");
-    w.value(status.message());
+std::string wire_protocol_error(const std::string& line, const Status& status) {
+  // Recover what the line says about itself, field by field: the body
+  // may be invalid while the header is not.
+  WireRequest header;
+  const char* type = "error";
+  const auto is_string = [](const JsonValue* v) {
+    return v != nullptr && v->kind() == JsonValue::Kind::kString;
+  };
+  try {
+    const JsonValue root = parse_json(line);
+    if (const JsonValue* id = root.find("id"); id != nullptr && id->is_int()) {
+      header.id = id->as_int();
+      header.has_id = true;
+    }
+    const JsonValue* kind = root.find("type");
+    if (is_string(kind) && parse_kind(kind->as_string(), header.kind)) {
+      type = to_string(header.kind);
+    }
+    if (const JsonValue* session = root.find("session"); is_string(session)) {
+      header.session = session->as_string();
+    }
+  } catch (const Error&) {
+    // Not JSON, or not an object (find() throws): the header is unknowable.
   }
-  w.end_object();
-  return os.str();
+  return write_envelope(header, type, status, {});
 }
 
 }  // namespace wharf::io

@@ -66,6 +66,8 @@ class JsonValue {
   [[nodiscard]] Kind kind() const { return kind_; }
   /// True for the JSON `null` literal (and default-constructed nodes).
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
+  /// True for an integral number (as_int() would succeed).
+  [[nodiscard]] bool is_int() const { return kind_ == Kind::kNumber && integral_; }
 
   /// The boolean payload; throws unless kind() is kBool.
   [[nodiscard]] bool as_bool() const;
@@ -244,15 +246,18 @@ struct WireRequest {
 
 /// One response line (no trailing newline): the request's echoed
 /// id/type/session, the status (+ reason when non-OK), then whatever
-/// `extra` writes into the still-open top-level object (e.g. a spliced
-/// report).
+/// `extra` writes into the still-open top-level object (e.g. a report,
+/// through its write_json overload).
 [[nodiscard]] std::string wire_response(
     const WireRequest& request, const Status& status,
     const std::function<void(JsonWriter&)>& extra = {});
 
-/// An error response for a line that never parsed into a request (the
-/// id, if any, is unknown): {"type":"error","status":...,"reason":...}.
-[[nodiscard]] std::string wire_protocol_error(const Status& status);
+/// The response to a `line` that failed parse_request() with `status`:
+/// wire_response()'s envelope, echoing an integer `id`, a known `type`
+/// and a string `session` when the line is a JSON object that has them.
+/// Otherwise `type` is "error": an unknowable header (not JSON, or an
+/// empty `line` for one discarded unread) gets {"type":"error",...}.
+[[nodiscard]] std::string wire_protocol_error(const std::string& line, const Status& status);
 
 }  // namespace wharf::io
 

@@ -261,7 +261,7 @@ void AsyncServer::enqueue_line(const std::shared_ptr<Conn>& conn, const std::str
   PendingItem item;
   if (!parsed) {
     item.ready = true;
-    item.response = io::wire_protocol_error(parsed.status());
+    item.response = io::wire_protocol_error(line, parsed.status());
   } else {
     item.request = parsed.value();
     item.seq = next_seq_++;

@@ -112,7 +112,7 @@ std::string handle_query(Conversation& conversation, const io::WireRequest& requ
     // status entries included — a failing query is a structured result,
     // not a stream error).
     w.key("report");
-    w.raw(to_json(report));
+    write_json(w, report);
   });
 }
 
@@ -197,7 +197,7 @@ std::string handle_request(Conversation& conversation, const io::WireRequest& re
       shutdown = true;
       return io::wire_response(request, Status::ok());
   }
-  return io::wire_protocol_error(Status::internal("unhandled request kind"));
+  return io::wire_response(request, Status::internal("unhandled request kind"));
 }
 
 bool run_query_stream(Conversation& conversation, const io::WireRequest& request,
@@ -228,7 +228,7 @@ bool run_query_stream(Conversation& conversation, const io::WireRequest& request
           // Bit-identical to the corresponding "results" array entry of
           // the monolithic report response (the bench gates on this).
           w.key("result");
-          w.raw(to_json(result));
+          write_json(w, result);
         });
     progress.results.push_back(std::move(result));
     ++progress.next;
@@ -250,7 +250,7 @@ bool run_query_stream(Conversation& conversation, const io::WireRequest& request
     w.key("results");
     w.value(static_cast<long long>(count));
     w.key("diagnostics");
-    w.raw(to_json(report.diagnostics));
+    write_json(w, report.diagnostics);
   }));
   return true;
 }

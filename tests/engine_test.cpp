@@ -14,6 +14,7 @@
 #include "engine/engine.hpp"
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
+#include "util/hash.hpp"
 
 namespace wharf {
 namespace {
@@ -495,6 +496,38 @@ TEST(Engine, ParallelQueriesBitIdenticalToSequential) {
     const AnalysisReport par = parallel.run(request);
     EXPECT_EQ(to_json(seq), to_json(par)) << "sample " << sample;
   }
+}
+
+TEST(EngineJson, ReportBytesArePinned) {
+  // 200 random systems shaped like the analyze_stream benchmark's
+  // inputs, each asked the standard request (ks {10, 100}) plus
+  // weakly_hard(1,10) per deadline chain.  A fresh Engine per system
+  // keeps the diagnostics deterministic.  The digest was taken from the
+  // std::ostream-based serializer the one-string writer replaced.
+  std::mt19937_64 rng(7);
+  std::string all;
+  for (int i = 0; i < 200; ++i) {
+    gen::RandomSystemSpec spec;
+    spec.min_chains = 4;
+    spec.max_chains = 16;
+    spec.min_tasks = 1;
+    spec.max_tasks = 5;
+    spec.utilization = 0.6 + 0.3 * static_cast<double>(rng() >> 11) * 0x1p-53;
+    spec.async_fraction = 0.25;
+    spec.overload_chains = 2;
+    AnalysisRequest request = AnalysisRequest::standard(
+        gen::random_system(spec, rng, "pin" + std::to_string(i)), {10, 100});
+    for (const int c : request.system.regular_indices()) {
+      if (request.system.chain(c).deadline().has_value()) {
+        request.queries.push_back(WeaklyHardQuery{request.system.chain(c).name(), 1, 10});
+      }
+    }
+    Engine engine;
+    all += to_json(engine.run(request));
+    all += '\n';
+  }
+  EXPECT_EQ(all.size(), 1976750u);
+  EXPECT_EQ(util::fnv1a64(all), 0xe6960dfd64ca5e69ULL);
 }
 
 }  // namespace

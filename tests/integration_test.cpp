@@ -129,10 +129,12 @@ TEST(Integration, SingleOverloadCombinationIsScheduable) {
 
 TEST(Integration, JsonReportPipeline) {
   TwcaAnalyzer analyzer{date17_case_study(OverloadModel::kRareOverload)};
-  const std::string latency_json = io::to_json(analyzer.latency(kSigmaC));
-  const std::string dmm_json = io::to_json(analyzer.dmm(kSigmaC, 76));
-  EXPECT_NE(latency_json.find("\"wcl\":331"), std::string::npos);
-  EXPECT_NE(dmm_json.find("\"dmm\":4"), std::string::npos);
+  io::JsonWriter latency_json;
+  io::write_json(latency_json, analyzer.latency(kSigmaC));
+  io::JsonWriter dmm_json;
+  io::write_json(dmm_json, analyzer.dmm(kSigmaC, 76));
+  EXPECT_NE(latency_json.str().find("\"wcl\":331"), std::string::npos);
+  EXPECT_NE(dmm_json.str().find("\"dmm\":4"), std::string::npos);
 }
 
 TEST(Integration, LiteralAndRareModelsAgreeOnShortHorizons) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -134,8 +136,7 @@ chain c2 activation=periodic(10) deadline=10
 // ---------------------------------------------------------------------------
 
 TEST(Json, WriterBasics) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  JsonWriter w;
   w.begin_object();
   w.key("a");
   w.value(1);
@@ -148,32 +149,97 @@ TEST(Json, WriterBasics) {
   w.key("c");
   w.value(2.5);
   w.end_object();
-  EXPECT_EQ(os.str(), R"({"a":1,"b":["x",true,null],"c":2.5})");
+  EXPECT_EQ(w.str(), R"({"a":1,"b":["x",true,null],"c":2.5})");
+  EXPECT_EQ(w.take(), R"({"a":1,"b":["x",true,null],"c":2.5})");
 }
 
 TEST(Json, EscapesStrings) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  JsonWriter w;
   w.value(std::string("he said \"hi\"\n\tback\\slash"));
-  EXPECT_EQ(os.str(), R"("he said \"hi\"\n\tback\\slash")");
+  EXPECT_EQ(w.str(), R"("he said \"hi\"\n\tback\\slash")");
+}
+
+TEST(Json, WriterEdgeCasesMatchTheStreamFormatting) {
+  // Expected bytes were produced by the std::ostream-based writer this
+  // one replaced: integer extremes, control bytes (0x7f and UTF-8 pass
+  // through), doubles as "%g" with non-finite ones as null, empty
+  // containers, and a key after a nested container.
+  JsonWriter w;
+  w.begin_object();
+  w.key("ints");
+  w.begin_array();
+  w.value(std::numeric_limits<long long>::min());
+  w.value(std::numeric_limits<long long>::max());
+  w.value(0);
+  w.value(-1);
+  w.end_array();
+  w.key("bytes");
+  w.value(std::string("\x01|\x1f|\x7f|\xc3\xa9|\b\f|\"\\/"));
+  w.key("k\"\n");
+  w.value("v");
+  w.key("doubles");
+  w.begin_array();
+  w.value(2.5);
+  w.value(0.1);
+  w.value(1e6);
+  w.value(123456789.0);
+  w.value(-0.0);
+  w.value(1e-7);
+  w.value(1.0 / 3.0);
+  w.value(std::nan(""));
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(-std::numeric_limits<double>::infinity());
+  w.end_array();
+  w.key("empty_object");
+  w.begin_object();
+  w.end_object();
+  w.key("empty_array");
+  w.begin_array();
+  w.end_array();
+  w.key("nested");
+  w.begin_array();
+  w.begin_object();
+  w.key("a");
+  w.begin_array();
+  w.end_array();
+  w.end_object();
+  w.begin_array();
+  w.end_array();
+  w.end_array();
+  w.key("after");
+  w.value(true);
+  w.key("none");
+  w.null();
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"ints\":[-9223372036854775808,9223372036854775807,0,-1],"
+            "\"bytes\":\"\\u0001|\\u001f|\x7f|\xc3\xa9|\\u0008\\u000c|\\\"\\\\/\","
+            "\"k\\\"\\n\":\"v\","
+            "\"doubles\":[2.5,0.1,1e+06,1.23457e+08,-0,1e-07,0.333333,null,null,null],"
+            "\"empty_object\":{},\"empty_array\":[],\"nested\":[{\"a\":[]},[]],"
+            "\"after\":true,\"none\":null}");
+  // json_escape is the writer's escaping, minus the quotes.
+  EXPECT_EQ(json_escape("\x01|\x1f|\x7f|\t"), "\\u0001|\\u001f|\x7f|\\t");
 }
 
 TEST(Json, LatencyResultSerialization) {
   const System sys = case_studies::date17_case_study();
   const LatencyResult r = latency_analysis(sys, case_studies::kSigmaC);
-  const std::string json = to_json(r);
-  EXPECT_NE(json.find("\"wcl\":331"), std::string::npos);
-  EXPECT_NE(json.find("\"K\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"schedulable\":false"), std::string::npos);
+  JsonWriter w;
+  write_json(w, r);
+  EXPECT_NE(w.str().find("\"wcl\":331"), std::string::npos);
+  EXPECT_NE(w.str().find("\"K\":2"), std::string::npos);
+  EXPECT_NE(w.str().find("\"schedulable\":false"), std::string::npos);
 }
 
 TEST(Json, DmmResultSerialization) {
   TwcaAnalyzer analyzer{case_studies::date17_case_study()};
   const DmmResult r = analyzer.dmm(case_studies::kSigmaC, 3);
-  const std::string json = to_json(r);
-  EXPECT_NE(json.find("\"k\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"dmm\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"status\":\"bounded\""), std::string::npos);
+  JsonWriter w;
+  write_json(w, r);
+  EXPECT_NE(w.str().find("\"k\":3"), std::string::npos);
+  EXPECT_NE(w.str().find("\"dmm\":3"), std::string::npos);
+  EXPECT_NE(w.str().find("\"status\":\"bounded\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -228,6 +228,33 @@ TEST(ServeAsync, OversizedLineIsRejectedAndStreamStaysInSync) {
   EXPECT_TRUE(server.join()) << server.err();
 }
 
+TEST(ServeAsync, InvalidBodiesAreAnsweredWithTheirId) {
+  // Pipelined requests whose bodies fail to parse: each answer echoes
+  // its request's header, so the client can tell them apart.
+  Engine engine;
+  AsyncHarness server(engine, {});
+
+  Client client(server.port());
+  client.send_line(R"({"id":5,"type":"query","session":"s","queries":[{"kind":"frobnicate"}]})");
+  client.send_line(R"({"id":6,"type":"apply_delta","session":"s","deltas":[{"kind":"nope"}]})");
+  client.send_line(
+      R"({"id":7,"type":"open_session","session":"s","system":"x","options":{"frobnicate":1}})");
+  EXPECT_EQ(client.recv_line(),
+            R"({"id":5,"type":"query","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown query kind 'frobnicate'"})");
+  EXPECT_EQ(client.recv_line(),
+            R"({"id":6,"type":"apply_delta","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown delta kind 'nope'"})");
+  EXPECT_EQ(client.recv_line(),
+            R"({"id":7,"type":"open_session","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown analysis option 'frobnicate'"})");
+
+  client.send_line(R"({"type":"shutdown"})");
+  (void)client.recv_line();
+  client.close();
+  EXPECT_TRUE(server.join()) << server.err();
+}
+
 // ---------------------------------------------------------------------
 // Streaming: frames bit-identical to the monolithic report, in order
 // ---------------------------------------------------------------------

@@ -210,7 +210,8 @@ TEST(WireOptions, RejectsUnknownOrInvalidOptionFields) {
 
 TEST(WireOptions, RetiredDfsPackerOptionGetsAnInvalidArgumentEnvelope) {
   // The packing solver is not an analysis option: the key is rejected
-  // like any other unknown one, as an error envelope on the stream.
+  // like any other unknown one, as an error response on the stream that
+  // echoes the request's id, type and session.
   Engine engine;
   std::istringstream in(
       R"({"id":1,"type":"open_session","session":"s","system":"system x\nchain a kind=sync )"
@@ -220,9 +221,51 @@ TEST(WireOptions, RetiredDfsPackerOptionGetsAnInvalidArgumentEnvelope) {
   std::ostringstream out;
   EXPECT_FALSE(cli::serve_stream(engine, in, out));
   EXPECT_EQ(out.str(),
-            R"({"type":"error","status":"invalid-argument",)"
+            R"({"id":1,"type":"open_session","session":"s","status":"invalid-argument",)"
             R"("reason":"unknown analysis option 'use_dfs_packer'"})"
             "\n");
+}
+
+TEST(WireErrors, InvalidBodiesAreAnsweredWithTheirId) {
+  // A line whose header parsed but whose body did not is answered with
+  // the header echoed, so a pipelining client knows which request
+  // failed; only what the line does not say is left out.
+  Engine engine;
+  std::istringstream in(
+      R"({"id":5,"type":"query","session":"s","queries":[{"kind":"frobnicate"}]})"
+      "\n"
+      R"({"id":6,"type":"apply_delta","session":"s","deltas":[{"kind":"nope"}]})"
+      "\n"
+      R"({"id":7,"type":"open_session","session":"s","system":"system x","options":{"frobnicate":true}})"
+      "\n"
+      R"({"id":8,"type":"teleport","session":"s"})"
+      "\n"
+      R"({"id":"nine","type":"close","session":3})"
+      "\n"
+      R"([1,2])"
+      "\n"
+      "not json\n");
+  std::ostringstream out;
+  EXPECT_FALSE(cli::serve_stream(engine, in, out));
+  const std::vector<std::string> lines = util::split(out.str(), '\n');
+  ASSERT_GE(lines.size(), 7u) << out.str();
+  EXPECT_EQ(lines[0],
+            R"({"id":5,"type":"query","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown query kind 'frobnicate'"})");
+  EXPECT_EQ(lines[1],
+            R"({"id":6,"type":"apply_delta","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown delta kind 'nope'"})");
+  EXPECT_EQ(lines[2],
+            R"({"id":7,"type":"open_session","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown analysis option 'frobnicate'"})");
+  EXPECT_EQ(lines[3],
+            R"({"id":8,"type":"error","session":"s","status":"invalid-argument",)"
+            R"("reason":"unknown request type 'teleport'"})");
+  // A non-integer id and a non-string session are not echoed.
+  EXPECT_EQ(lines[4].rfind(R"({"type":"close","status":"invalid-argument",)", 0), 0u) << lines[4];
+  EXPECT_EQ(lines[5].rfind(R"({"type":"error","status":"invalid-argument",)", 0), 0u) << lines[5];
+  EXPECT_EQ(lines[6], R"x({"type":"error","status":"parse-error",)x"
+                      R"x("reason":"parse error at line 1: malformed literal (at offset 0)"})x");
 }
 
 TEST(WireRequests, MalformedRequestsAreStatusesNotThrows) {
@@ -377,7 +420,12 @@ TEST(WireResponses, FrameEnvelopeAndExtras) {
       error,
       R"({"id":11,"type":"apply_delta","session":"s1","status":"not-found","reason":"unknown session 's1'"})");
 
-  EXPECT_EQ(wire_protocol_error(Status::parse_error("bad line")),
+  // A line that failed to parse: only what it says about itself is
+  // echoed, and an unknowable header is the anonymous error envelope.
+  EXPECT_EQ(wire_protocol_error(R"({"id":3,"type":"close","session":7})",
+                                Status::invalid_argument("bad field")),
+            R"({"id":3,"type":"close","status":"invalid-argument","reason":"bad field"})");
+  EXPECT_EQ(wire_protocol_error("not json", Status::parse_error("bad line")),
             R"({"type":"error","status":"parse-error","reason":"bad line"})");
 }
 
